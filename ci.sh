@@ -48,14 +48,22 @@ TESA_THREADS=1 cargo test -q --offline --release
 # (5% by default; override with TESA_BENCH_TOLERANCE — cross-run wall
 # time is noisy, so loosen it on shared runners rather than deleting
 # the gate).
-if [[ -f BENCH_anneal.json ]]; then
-    cp BENCH_anneal.json BENCH_anneal.baseline.json
-fi
+#
+# BENCH_thermal.json is carried forward the same way: its single-solve
+# rows (`thermal/solve/*`) guard the width-1 call of the multi-RHS CG
+# engine, which every `evaluate` and every annealer lookup runs.
+for artifact in anneal thermal; do
+    if [[ -f BENCH_$artifact.json ]]; then
+        cp BENCH_$artifact.json BENCH_$artifact.baseline.json
+    fi
+done
 # Artifacts go to a temp name first and are renamed only on success, so a
 # bench binary dying mid-run cannot leave a stale or truncated JSON that
-# the next build would diff against as if it were real.
+# the next build would diff against as if it were real. bench_thermal
+# runs 15 iterations, as bench_anneal does, so the guarded single-solve
+# medians are steadier than a 5-iteration median.
 cargo bench -q --offline -p tesa-bench --bench bench_thermal -- \
-    --warmup 1 --iters 5 --format json --out "$PWD/BENCH_thermal.json.tmp"
+    --warmup 1 --iters 15 --format json --out "$PWD/BENCH_thermal.json.tmp"
 mv BENCH_thermal.json.tmp BENCH_thermal.json
 # bench_anneal's warm-cache benchmarks are microsecond-scale, where a
 # 3-iteration median is dominated by scheduler noise; 15 iterations keep
@@ -118,6 +126,19 @@ if [[ -f BENCH_anneal.baseline.json ]]; then
     rm -f BENCH_anneal.baseline.json
 else
     echo "bench_guard: no previous BENCH_anneal.json — baseline recorded, guard skipped"
+fi
+# Single-solve speed gate: every `thermal/solve/*` median against the
+# previous build's, at the same tolerance. A regression here slows every
+# evaluation, since a single solve is the width-1 call of the batched
+# engine.
+if [[ -f BENCH_thermal.baseline.json ]]; then
+    cargo run -q --offline --release -p tesa-bench --bin bench_guard -- \
+        BENCH_thermal.baseline.json BENCH_thermal.json \
+        --tolerance "${TESA_BENCH_TOLERANCE:-0.05}" \
+        --filter thermal/solve/
+    rm -f BENCH_thermal.baseline.json
+else
+    echo "bench_guard: no previous BENCH_thermal.json — baseline recorded, guard skipped"
 fi
 # Enabled-path speedup gates, all *within this run's artifact* so they
 # are immune to cross-run machine drift. They only bind on runners with

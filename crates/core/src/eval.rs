@@ -214,7 +214,7 @@ pub enum ScreenVerdict {
 }
 
 /// Result of the per-phase steady-state thermal analysis with leakage
-/// co-iteration (`Evaluator::thermal_analysis_full`).
+/// co-iteration (`Evaluator::thermal_analysis_group`).
 struct ThermalAnalysis {
     /// Peak junction temperature, °C (NaN when `solver_failed`).
     peak_c: f64,
@@ -236,15 +236,18 @@ struct ThermalAnalysis {
 /// fields `Evaluator::evaluate_epilogue` folds into the final
 /// [`McmEvaluation`]. Splitting `evaluate` around this struct lets the
 /// batched paths run many designs' thermal stages through one multi-RHS
-/// lockstep solve while each design's arithmetic stays exactly serial.
+/// lockstep solve while each design's arithmetic stays that of a group of
+/// one.
 struct ThermalPending {
     design: McmDesign,
     geometry: ChipletGeometry,
     layout: McmLayout,
     sched: Schedule,
+    /// Cycles per frame of each DNN.
+    dnn_cycles: Vec<u64>,
     dnn_power: Vec<DynamicPower>,
     dnn_power_total: Vec<f64>,
-    /// Pre-thermal violations (ICS, latency) in serial push order.
+    /// Pre-thermal violations (ICS, latency) in pipeline order.
     violations: Vec<Violation>,
     latency_s: f64,
     achieved_fps: f64,
@@ -266,9 +269,9 @@ enum EvalPrelude {
 }
 
 /// One lockstep lane of `Evaluator::thermal_analysis_group`: the loop
-/// variables of `thermal_analysis_full`, lifted into a struct so k
-/// same-model designs advance their leakage co-iterations together and
-/// share each step's batched solve.
+/// variables of one design's per-phase leakage co-iteration, lifted into a
+/// struct so k same-model designs advance their co-iterations together
+/// and share each step's batched solve.
 struct GroupRun<'a> {
     pending: &'a ThermalPending,
     phases: Vec<Vec<(usize, DnnId)>>,
@@ -297,7 +300,7 @@ struct GroupRun<'a> {
 impl GroupRun<'_> {
     /// Loads phase `phase_idx` (fresh ambient temperatures, per-chip
     /// dynamic power) or, past the last phase, retires the run with its
-    /// summary — the same transition the serial per-phase loop makes.
+    /// summary.
     fn enter_phase_or_finish(&mut self, ambient_c: f64) {
         if self.phase_idx >= self.phases.len() {
             self.done = Some(ThermalAnalysis {
@@ -322,7 +325,7 @@ impl GroupRun<'_> {
         self.last_field = None;
     }
 
-    /// Emits the `eval.phase` event with exactly the serial loop's fields.
+    /// Emits the `eval.phase` event of the finished phase.
     fn emit_phase_event(&self, ambient_c: f64, runaway: bool) {
         trace::event("eval.phase", || {
             let phase_peak = self.last_field.as_ref().map_or(ambient_c, |f| {
@@ -683,15 +686,7 @@ impl Evaluator {
         let dnn_power: Vec<DynamicPower> =
             reports.iter().map(|r| dynamic_power(r, &chiplet, tech, freq_hz)).collect();
         let dnn_power_total: Vec<f64> = dnn_power.iter().map(DynamicPower::total_w).collect();
-        let order = layout.corner_first_order();
-        let sched = match self.opts.scheduler {
-            SchedulerPolicy::CornerFirstPowerAware => {
-                schedule(&order, &dnn_cycles, &dnn_power_total)
-            }
-            SchedulerPolicy::NaiveRoundRobin => {
-                schedule_naive(order.len(), &dnn_cycles, &dnn_power_total)
-            }
-        };
+        let sched = self.schedule_for(&layout, &dnn_cycles, &dnn_power_total);
         let latency_s = sched.makespan_cycles() as f64 / freq_hz;
         let achieved_fps = 1.0 / latency_s;
         if achieved_fps + 1e-9 < constraints.min_fps {
@@ -971,13 +966,7 @@ impl Evaluator {
             }
             EvalPrelude::Thermal(pending) => {
                 let ta = if self.opts.thermal_enabled {
-                    self.thermal_analysis_full(
-                        design,
-                        &pending.geometry,
-                        &pending.layout,
-                        &pending.sched,
-                        &pending.dnn_power,
-                    )
+                    self.thermal_analysis_group(&[&pending]).remove(0)
                 } else {
                     self.disabled_thermal(&pending)
                 };
@@ -992,12 +981,89 @@ impl Evaluator {
         }
     }
 
+    /// The schedule of the evaluator's [`SchedulerPolicy`] for one layout.
+    fn schedule_for(
+        &self,
+        layout: &McmLayout,
+        dnn_cycles: &[u64],
+        dnn_power_total: &[f64],
+    ) -> Schedule {
+        let order = layout.corner_first_order();
+        match self.opts.scheduler {
+            SchedulerPolicy::CornerFirstPowerAware => schedule(&order, dnn_cycles, dnn_power_total),
+            SchedulerPolicy::NaiveRoundRobin => {
+                schedule_naive(order.len(), dnn_cycles, dnn_power_total)
+            }
+        }
+    }
+
     /// The exact pre-thermal pipeline of [`Evaluator::evaluate`] — steps
     /// 1–4 (mesh, performance, schedule, DRAM) plus the lazy gate — with
-    /// the thermal stage left pending. Serial `evaluate` and the batched
-    /// paths both build on this, so their arithmetic is identical term for
-    /// term.
+    /// the thermal stage left pending. `evaluate` and the batched paths
+    /// both build on this, so their arithmetic is identical term for term.
     fn evaluate_prelude(&self, design: &McmDesign, constraints: &Constraints) -> EvalPrelude {
+        let p = match self.pipeline(design, constraints) {
+            Ok(p) => p,
+            Err(eval) => return EvalPrelude::Done { eval, lazy_skip: false },
+        };
+
+        // Lazy search mode: a dynamic-power lower bound (leakage is
+        // non-negative) and prior violations let us skip the expensive
+        // steady-state solve for designs the optimizer must reject anyway.
+        if self.opts.lazy && self.opts.thermal_enabled {
+            let dyn_worst_phase_w = p
+                .sched
+                .phases()
+                .iter()
+                .map(|phase| phase.iter().map(|&(_, d)| p.dnn_power_total[d.0]).sum::<f64>())
+                .fold(0.0, f64::max);
+            let mut lazy_violations = p.violations.clone();
+            if dyn_worst_phase_w + p.dram_power_w > constraints.power_budget_w {
+                lazy_violations.push(Violation::Power {
+                    total_w: dyn_worst_phase_w + p.dram_power_w,
+                });
+            }
+            if !lazy_violations.is_empty() {
+                return EvalPrelude::Done {
+                    eval: Box::new(McmEvaluation {
+                        design: *design,
+                        mesh: Some(p.layout.mesh),
+                        mcm_cost_usd: self.opts.cost.mcm_cost_usd(
+                            p.layout.mesh.count(),
+                            &p.geometry,
+                            design.chiplet.integration,
+                            constraints.interposer_area_mm2(),
+                        ),
+                        schedule: Some(p.sched),
+                        layout: Some(p.layout),
+                        latency_s: p.latency_s,
+                        achieved_fps: p.achieved_fps,
+                        peak_temp_c: f64::NAN,
+                        thermal_runaway: false,
+                        degraded: false,
+                        chip_power_w: dyn_worst_phase_w,
+                        dram_power_w: p.dram_power_w,
+                        total_power_w: dyn_worst_phase_w + p.dram_power_w,
+                        dram_channels: p.dram_channels,
+                        ops: 2.0 * p.total_macs as f64 / p.latency_s,
+                        violations: lazy_violations,
+                    }),
+                    lazy_skip: true,
+                };
+            }
+        }
+        EvalPrelude::Thermal(Box::new(p))
+    }
+
+    /// Steps 1–4 of [`Evaluator::evaluate`] (mesh, performance, schedule,
+    /// DRAM) without the lazy gate: the inputs of the thermal stage, or
+    /// the finished evaluation of a chiplet that does not fit the
+    /// interposer.
+    fn pipeline(
+        &self,
+        design: &McmDesign,
+        constraints: &Constraints,
+    ) -> Result<ThermalPending, Box<McmEvaluation>> {
         let chiplet = design.chiplet;
         let tech = &self.opts.tech;
         let geometry = chiplet.geometry(tech);
@@ -1016,27 +1082,24 @@ impl Evaluator {
             self.workload.len() as u32,
         ) else {
             violations.push(Violation::Area { chiplet_side_mm: geometry.side_mm() });
-            return EvalPrelude::Done {
-                eval: Box::new(McmEvaluation {
-                    design: *design,
-                    mesh: None,
-                    layout: None,
-                    schedule: None,
-                    latency_s: f64::INFINITY,
-                    achieved_fps: 0.0,
-                    peak_temp_c: f64::INFINITY,
-                    thermal_runaway: false,
-                    degraded: false,
-                    chip_power_w: f64::INFINITY,
-                    dram_power_w: f64::INFINITY,
-                    total_power_w: f64::INFINITY,
-                    dram_channels: 0,
-                    mcm_cost_usd: f64::INFINITY,
-                    ops: 0.0,
-                    violations,
-                }),
-                lazy_skip: false,
-            };
+            return Err(Box::new(McmEvaluation {
+                design: *design,
+                mesh: None,
+                layout: None,
+                schedule: None,
+                latency_s: f64::INFINITY,
+                achieved_fps: 0.0,
+                peak_temp_c: f64::INFINITY,
+                thermal_runaway: false,
+                degraded: false,
+                chip_power_w: f64::INFINITY,
+                dram_power_w: f64::INFINITY,
+                total_power_w: f64::INFINITY,
+                dram_channels: 0,
+                mcm_cost_usd: f64::INFINITY,
+                ops: 0.0,
+                violations,
+            }));
         };
 
         // 2. Performance and per-DNN dynamic power.
@@ -1049,15 +1112,7 @@ impl Evaluator {
 
         // 3. Schedule (corner-first, power-density- and latency-aware by
         //    default; the naive policy exists for ablation).
-        let order = layout.corner_first_order();
-        let sched = match self.opts.scheduler {
-            SchedulerPolicy::CornerFirstPowerAware => {
-                schedule(&order, &dnn_cycles, &dnn_power_total)
-            }
-            SchedulerPolicy::NaiveRoundRobin => {
-                schedule_naive(order.len(), &dnn_cycles, &dnn_power_total)
-            }
-        };
+        let sched = self.schedule_for(&layout, &dnn_cycles, &dnn_power_total);
         let latency_s = sched.makespan_cycles() as f64 / freq_hz;
         let achieved_fps = 1.0 / latency_s;
         if achieved_fps + 1e-9 < constraints.min_fps {
@@ -1088,69 +1143,22 @@ impl Evaluator {
             window_s,
             channels: dram_channels,
         });
-        let dram_power_w = dram_power.total_w();
 
-        // Lazy search mode: a dynamic-power lower bound (leakage is
-        // non-negative) and prior violations let us skip the expensive
-        // steady-state solve for designs the optimizer must reject anyway.
-        let dyn_worst_phase_w = sched
-            .phases()
-            .iter()
-            .map(|phase| phase.iter().map(|&(_, d)| dnn_power_total[d.0]).sum::<f64>())
-            .fold(0.0, f64::max);
-        if self.opts.lazy && self.opts.thermal_enabled {
-            let mut lazy_violations = violations.clone();
-            if dyn_worst_phase_w + dram_power_w > constraints.power_budget_w {
-                lazy_violations.push(Violation::Power {
-                    total_w: dyn_worst_phase_w + dram_power_w,
-                });
-            }
-            if !lazy_violations.is_empty() {
-                let total_macs: u64 = reports.iter().map(|r| r.total_macs()).sum();
-                return EvalPrelude::Done {
-                    eval: Box::new(McmEvaluation {
-                        design: *design,
-                        mesh: Some(layout.mesh),
-                        schedule: Some(sched),
-                        mcm_cost_usd: self.opts.cost.mcm_cost_usd(
-                            layout.mesh.count(),
-                            &geometry,
-                            chiplet.integration,
-                            constraints.interposer_area_mm2(),
-                        ),
-                        layout: Some(layout),
-                        latency_s,
-                        achieved_fps,
-                        peak_temp_c: f64::NAN,
-                        thermal_runaway: false,
-                        degraded: false,
-                        chip_power_w: dyn_worst_phase_w,
-                        dram_power_w,
-                        total_power_w: dyn_worst_phase_w + dram_power_w,
-                        dram_channels,
-                        ops: 2.0 * total_macs as f64 / latency_s,
-                        violations: lazy_violations,
-                    }),
-                    lazy_skip: true,
-                };
-            }
-        }
-
-        let total_macs: u64 = reports.iter().map(|r| r.total_macs()).sum();
-        EvalPrelude::Thermal(Box::new(ThermalPending {
+        Ok(ThermalPending {
             design: *design,
             geometry,
             layout,
             sched,
+            dnn_cycles,
             dnn_power,
             dnn_power_total,
             violations,
             latency_s,
             achieved_fps,
-            dram_power_w,
+            dram_power_w: dram_power.total_w(),
             dram_channels,
-            total_macs,
-        }))
+            total_macs: reports.iter().map(|r| r.total_macs()).sum(),
+        })
     }
 
     /// The temperature-unaware stand-in for the thermal stage: worst-phase
@@ -1237,198 +1245,38 @@ impl Evaluator {
     }
 
     /// Steady-state analysis of every schedule phase with
-    /// leakage–temperature co-iteration.
-    fn thermal_analysis_full(
-        &self,
-        design: &McmDesign,
-        geometry: &ChipletGeometry,
-        layout: &McmLayout,
-        sched: &Schedule,
-        dnn_power: &[DynamicPower],
-    ) -> ThermalAnalysis {
-        let chiplet = design.chiplet;
-        let tech = &self.opts.tech;
-        let mut thermal_span = trace::span("eval.thermal");
-        thermal_span.field("phases", Json::U64(sched.phases().len() as u64));
-        let model = self.thermal_model(layout, geometry, chiplet.integration);
-        let n_chiplets = layout.mesh.count() as usize;
-        let (array_tier, sram_tier) = device_tiers(chiplet.integration);
-        let ranges = chip_cell_ranges(layout, &model);
-
-        let mut peak = tech.ambient_c;
-        let mut worst_power = 0.0f64;
-        let mut guess: Option<Vec<f64>> = None;
-        let mut hottest_field: Option<tesa_thermal::ThermalField> = None;
-        let mut degraded = false;
-        let mut pmap = model.zero_power();
-
-        for phase in sched.phases() {
-            // Dynamic power per chiplet in this phase.
-            let mut dyn_by_chip: Vec<Option<DynamicPower>> = vec![None; n_chiplets];
-            for &(chip, dnn) in &phase {
-                dyn_by_chip[chip] = Some(dnn_power[dnn.0]);
-            }
-
-            // Leakage co-iteration.
-            let mut temps = vec![tech.ambient_c; n_chiplets];
-            let mut runaway = false;
-            let mut last_field: Option<tesa_thermal::ThermalField> = None;
-            let mut phase_power = 0.0f64;
-            let mut leak_iters = 0usize;
-            for _iter in 0..LEAK_MAX_ITERS {
-                leak_iters += 1;
-                pmap.clear();
-                phase_power = self.inject_phase_power(
-                    &mut pmap,
-                    layout,
-                    geometry,
-                    &chiplet,
-                    &dyn_by_chip,
-                    &temps,
-                    array_tier,
-                    sram_tier,
-                );
-                // Recoverable solve: the thermal crate degrades through its
-                // preconditioner ladder (multigrid -> cold-start Jacobi)
-                // before reporting failure; the `eval.thermal.fail` site
-                // forces the total-failure path for robustness tests.
-                let solved = if faultpoint::fire("eval.thermal.fail") {
-                    Err(SolveError { residual: f64::INFINITY })
-                } else {
-                    model.solve_recoverable(&pmap, guess.as_deref())
-                };
-                let field = match solved {
-                    Ok((field, SolveQuality::Full)) => field,
-                    Ok((field, SolveQuality::DegradedJacobi)) => {
-                        degraded = true;
-                        field
-                    }
-                    Err(err) => {
-                        // Every rung failed: no trustworthy temperature for
-                        // this design. Report the failure instead of
-                        // panicking (or trusting a diverged field).
-                        trace::counter("eval.thermal.solver_failed", 1.0);
-                        trace::event("eval.thermal.error", || {
-                            vec![("residual", Json::F64(err.residual))]
-                        });
-                        thermal_span.field("solver_failed", Json::Bool(true));
-                        return ThermalAnalysis {
-                            peak_c: f64::NAN,
-                            runaway: false,
-                            worst_power_w: worst_power.max(phase_power),
-                            hottest_field: None,
-                            degraded,
-                            solver_failed: true,
-                        };
-                    }
-                };
-                let mut max_delta = 0.0f64;
-                for (c, range) in ranges.iter().enumerate() {
-                    let t = field.region_mean_c(array_tier, range.0, range.1, range.2, range.3);
-                    max_delta = max_delta.max((t - temps[c]).abs());
-                    temps[c] = t;
-                }
-                // Warm-start buffer for the next solve; copy into the
-                // existing allocation rather than cloning the field.
-                match guess.as_mut() {
-                    Some(g) => g.copy_from_slice(field.as_slice()),
-                    None => guess = Some(field.as_slice().to_vec()),
-                }
-                let converged = max_delta < LEAK_CONVERGENCE_K;
-                let diverged = temps.iter().any(|&t| t > RUNAWAY_TEMP_C);
-                last_field = Some(field);
-                if diverged {
-                    runaway = true;
-                    break;
-                }
-                if converged {
-                    break;
-                }
-            }
-            trace::event("eval.phase", || {
-                let phase_peak = last_field.as_ref().map_or(tech.ambient_c, |f| {
-                    f.layer_peak_c(array_tier).max(f.layer_peak_c(sram_tier))
-                });
-                vec![
-                    ("leak_iters", Json::U64(leak_iters as u64)),
-                    ("power_w", Json::F64(phase_power)),
-                    ("peak_c", Json::F64(phase_peak)),
-                    ("runaway", Json::Bool(runaway)),
-                ]
-            });
-            if runaway {
-                thermal_span.field("runaway", Json::Bool(true));
-                return ThermalAnalysis {
-                    peak_c: RUNAWAY_TEMP_C,
-                    runaway: true,
-                    worst_power_w: phase_power.max(worst_power),
-                    hottest_field: last_field,
-                    degraded,
-                    solver_failed: false,
-                };
-            }
-            if let Some(field) = last_field {
-                // Peak junction temperature: hottest cell in the device
-                // tiers (the lid/TIM are cooler by construction).
-                let phase_peak =
-                    field.layer_peak_c(array_tier).max(field.layer_peak_c(sram_tier));
-                if phase_peak >= peak || hottest_field.is_none() {
-                    hottest_field = Some(field);
-                }
-                peak = peak.max(phase_peak);
-            }
-            worst_power = worst_power.max(phase_power);
-        }
-        if trace::enabled() {
-            thermal_span.field("peak_c", Json::F64(peak));
-            thermal_span.field("worst_power_w", Json::F64(worst_power));
-        }
-        ThermalAnalysis {
-            peak_c: peak,
-            runaway: false,
-            worst_power_w: worst_power,
-            hottest_field,
-            degraded,
-            solver_failed: false,
-        }
-    }
-
-    /// `thermal_analysis_full` for k designs sharing one thermal model:
-    /// the leakage co-iterations advance in lockstep, and each step's k
-    /// live solves go through `ThermalModel::solve_batch_recoverable` —
-    /// one fused multi-RHS batch instead of k serial solves. Each lane
-    /// retires (converges, diverges, fails, or exhausts its phases)
-    /// independently, exactly when its serial loop would, and warm starts
+    /// leakage–temperature co-iteration, for k designs sharing one thermal
+    /// model (same layout and integration): the co-iterations advance in
+    /// lockstep, and each step's live solves go through
+    /// `ThermalModel::solve_batch_recoverable` — one fused multi-RHS batch.
+    /// Each lane retires (converges, diverges, fails, or exhausts its
+    /// phases) independently, exactly when it would alone, and warm starts
     /// stay per design, so every returned analysis is bit-identical to a
-    /// serial `thermal_analysis_full` call.
+    /// group of one. `evaluate` runs a group of one.
     ///
-    /// Two observable differences from looping serially, both confined to
-    /// diagnostics: the `eval.thermal.fail` faultpoint fires once per
-    /// *live lane per lockstep step* (run order) rather than per design
-    /// sequentially, and trace events interleave across lanes (one
-    /// `eval.thermal` span covers the whole group). `eval.phase` events
-    /// carry identical fields per design.
-    fn thermal_analysis_group(
-        &self,
-        model: &ThermalModel,
-        items: &[&ThermalPending],
-    ) -> Vec<ThermalAnalysis> {
-        if let [p] = items {
-            // Singleton groups take the serial path verbatim (span and
-            // faultpoint order included).
-            return vec![self.thermal_analysis_full(
-                &p.design, &p.geometry, &p.layout, &p.sched, &p.dnn_power,
-            )];
-        }
+    /// One `eval.thermal` span covers the group; the `eval.thermal.fail`
+    /// faultpoint fires once per *live lane per lockstep step* (lane
+    /// order), and trace events interleave across lanes. `eval.phase`
+    /// events carry identical fields per design. A group of one tags the
+    /// span with its outcome (`peak_c` and `worst_power_w`, or
+    /// `solver_failed`, or `runaway`); a larger group tags it with its
+    /// `batch` size.
+    fn thermal_analysis_group(&self, items: &[&ThermalPending]) -> Vec<ThermalAnalysis> {
         let tech = &self.opts.tech;
         let mut thermal_span = trace::span("eval.thermal");
         if trace::enabled() {
-            thermal_span.field("batch", Json::U64(items.len() as u64));
+            if items.len() > 1 {
+                thermal_span.field("batch", Json::U64(items.len() as u64));
+            }
             thermal_span.field(
                 "phases",
                 Json::U64(items.iter().map(|p| p.sched.phases().len() as u64).sum()),
             );
         }
+        let first = items[0];
+        let model =
+            self.thermal_model(&first.layout, &first.geometry, first.design.chiplet.integration);
+        let model = model.as_ref();
 
         let mut runs: Vec<GroupRun> = items
             .iter()
@@ -1498,8 +1346,8 @@ impl Evaluator {
                 .collect();
             let solved = model.solve_batch_recoverable(&requests);
             drop(requests);
-            // Fold results back in lane order with exactly the serial
-            // inner loop's decisions.
+            // Fold results back in lane order: converge, diverge or fail
+            // per lane, then advance the lanes whose phase is done.
             let mut solved = solved.into_iter();
             for &i in &live {
                 let run = &mut runs[i];
@@ -1572,7 +1420,19 @@ impl Evaluator {
                 }
             }
         }
-        runs.into_iter().map(|r| r.done.expect("every lane retired")).collect()
+        let analyses: Vec<ThermalAnalysis> =
+            runs.into_iter().map(|r| r.done.expect("every lane retired")).collect();
+        if let [ta] = analyses.as_slice() {
+            if ta.solver_failed {
+                thermal_span.field("solver_failed", Json::Bool(true));
+            } else if ta.runaway {
+                thermal_span.field("runaway", Json::Bool(true));
+            } else if trace::enabled() {
+                thermal_span.field("peak_c", Json::F64(ta.peak_c));
+                thermal_span.field("worst_power_w", Json::F64(ta.worst_power_w));
+            }
+        }
+        analyses
     }
 
     /// Evaluates many `(design, constraints)` pairs through the memo at
@@ -1583,8 +1443,9 @@ impl Evaluator {
     ///
     /// Results are identical, field for field and bit for bit, to calling
     /// [`Evaluator::evaluate_cached`] on each pair in order — the batched
-    /// engine performs each design's exact serial arithmetic sequence (see
-    /// `tesa_thermal::ThermalModel::solve_batch_recoverable`). The
+    /// engine performs each design's exact single-design arithmetic
+    /// sequence (see `tesa_thermal::ThermalModel::solve_batch_recoverable`).
+    /// The
     /// pre-thermal pipeline of the misses fans out across `threads` pool
     /// lanes; the memo is probed first, so work distribution and chunk
     /// granularity reflect only the designs that actually need computing.
@@ -1664,12 +1525,7 @@ impl Evaluator {
                     .iter()
                     .map(|&j| pendings[j].as_deref().expect("grouped pending present"))
                     .collect();
-                let model = self.thermal_model(
-                    &items[0].layout,
-                    &items[0].geometry,
-                    items[0].design.chiplet.integration,
-                );
-                let analyses = self.thermal_analysis_group(&model, &items);
+                let analyses = self.thermal_analysis_group(&items);
                 drop(items);
                 for (&j, ta) in members.iter().zip(analyses) {
                     let pending = pendings[j].take().expect("grouped pending present");
@@ -1686,8 +1542,8 @@ impl Evaluator {
     }
 
     /// Memoizes and publishes one batched-path evaluation, emitting an
-    /// `eval.design` *event* carrying the fields the serial path puts on
-    /// its per-design span (the batched paths have no per-design span —
+    /// `eval.design` *event* carrying the fields `evaluate` puts on its
+    /// per-design span (the batched paths have no per-design span —
     /// their designs interleave across one lockstep group).
     fn finish_batched(
         &self,
@@ -1726,31 +1582,8 @@ impl Evaluator {
         if !self.opts.thermal_enabled {
             return None;
         }
-        let chiplet = design.chiplet;
-        let tech = &self.opts.tech;
-        let geometry = chiplet.geometry(tech);
-        let layout = estimate_mesh(
-            geometry.side_mm(),
-            design.ics_mm(),
-            constraints.interposer_w_mm,
-            constraints.interposer_h_mm,
-            self.workload.len() as u32,
-        )?;
-        let reports = self.perf(&chiplet);
-        let freq_hz = design.freq_hz();
-        let dnn_cycles: Vec<u64> = reports.iter().map(|r| r.total_cycles).collect();
-        let dnn_power: Vec<DynamicPower> =
-            reports.iter().map(|r| dynamic_power(r, &chiplet, tech, freq_hz)).collect();
-        let dnn_power_total: Vec<f64> = dnn_power.iter().map(DynamicPower::total_w).collect();
-        let sched = match self.opts.scheduler {
-            SchedulerPolicy::CornerFirstPowerAware => {
-                schedule(&layout.corner_first_order(), &dnn_cycles, &dnn_power_total)
-            }
-            SchedulerPolicy::NaiveRoundRobin => {
-                schedule_naive(layout.mesh.count() as usize, &dnn_cycles, &dnn_power_total)
-            }
-        };
-        self.thermal_analysis_full(design, &geometry, &layout, &sched, &dnn_power).hottest_field
+        let pending = self.pipeline(design, constraints).ok()?;
+        self.thermal_analysis_group(&[&pending]).remove(0).hottest_field
     }
 
     /// Transient thermal simulation of the actual schedule timeline — an
@@ -1776,22 +1609,9 @@ impl Evaluator {
             return None;
         }
         let chiplet = design.chiplet;
-        let tech = &self.opts.tech;
-        let geometry = chiplet.geometry(tech);
-        let layout = estimate_mesh(
-            geometry.side_mm(),
-            design.ics_mm(),
-            constraints.interposer_w_mm,
-            constraints.interposer_h_mm,
-            self.workload.len() as u32,
-        )?;
-        let reports = self.perf(&chiplet);
+        let ThermalPending { geometry, layout, sched, dnn_cycles, dnn_power, .. } =
+            self.pipeline(design, constraints).ok()?;
         let freq_hz = design.freq_hz();
-        let dnn_cycles: Vec<u64> = reports.iter().map(|r| r.total_cycles).collect();
-        let dnn_power: Vec<DynamicPower> =
-            reports.iter().map(|r| dynamic_power(r, &chiplet, tech, freq_hz)).collect();
-        let dnn_power_total: Vec<f64> = dnn_power.iter().map(DynamicPower::total_w).collect();
-        let sched = schedule(&layout.corner_first_order(), &dnn_cycles, &dnn_power_total);
 
         let model = self.thermal_model(&layout, &geometry, chiplet.integration);
         let (array_tier, sram_tier) = device_tiers(chiplet.integration);
@@ -2164,5 +1984,37 @@ mod tests {
         assert_eq!(a.peak_temp_c, b.peak_temp_c);
         assert_eq!(a.mcm_cost_usd, b.mcm_cost_usd);
         assert_eq!(a.latency_s, b.latency_s);
+    }
+
+    /// The transient simulates the schedule `evaluate` reports, whatever
+    /// the scheduler policy: one step per `dt` of each phase's longest DNN.
+    #[test]
+    fn transient_trace_follows_the_scheduler_policy() {
+        let e = Evaluator::new(
+            arvr_suite(),
+            EvalOptions {
+                grid_cells: 32,
+                scheduler: SchedulerPolicy::NaiveRoundRobin,
+                ..Default::default()
+            },
+        );
+        let d = design(200, 1024, Integration::TwoD, 500, 400);
+        let c = Constraints::edge_device(30.0, 75.0);
+        let sched = e.evaluate(&d, &c).schedule.expect("the design fits");
+        let reports = e.perf(&d.chiplet);
+        let dt_s = 1e-3;
+        let steps: usize = sched
+            .phases()
+            .iter()
+            .map(|phase| {
+                let duration = phase
+                    .iter()
+                    .map(|&(_, dnn)| reports[dnn.0].total_cycles as f64 / d.freq_hz())
+                    .fold(0.0, f64::max);
+                (duration / dt_s).ceil().max(1.0) as usize
+            })
+            .sum();
+        let trace = e.transient_trace(&d, &c, dt_s, 1).expect("the design fits");
+        assert_eq!(trace.times_s.len(), steps, "{} phases", sched.phases().len());
     }
 }

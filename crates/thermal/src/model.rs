@@ -1,9 +1,9 @@
 //! Conductance-network assembly and the public solve API.
 
 use crate::field::ThermalField;
-use crate::multigrid::{Multigrid, MgScratch, MgScratchMulti};
+use crate::multigrid::{MgScratch, Multigrid};
 use crate::power::PowerMap;
-use crate::solver::{self, dispatch_width, eff_width, CgMultiScratch, CgOutcome, CgScratch};
+use crate::solver::{self, dispatch_width, eff_width, CgOutcome, CgResult, CgScratch, Tolerance};
 use crate::stack::LayerDef;
 
 use std::sync::{Arc, Mutex};
@@ -98,8 +98,11 @@ impl std::fmt::Display for SolveError {
 impl std::error::Error for SolveError {}
 
 /// Pooled per-solve workspaces: CG vectors, multigrid level buffers, and
-/// the right-hand side. Solves pop one (or create it on first use) and
-/// push it back, so steady-state loops allocate nothing per solve.
+/// the right-hand side, interleaved `[node][rhs]` at the width of the
+/// solve using them. Solves pop one (or create it on first use) and push
+/// it back, so steady-state loops allocate nothing per solve; a workspace
+/// grows to the widest batch it has served and smaller solves use
+/// prefixes of it.
 #[derive(Debug, Default)]
 struct Scratch {
     cg: CgScratch,
@@ -123,34 +126,6 @@ impl ScratchPool {
 impl Clone for ScratchPool {
     fn clone(&self) -> Self {
         Self::default() // scratch is derived state; clones start empty
-    }
-}
-
-/// Pooled workspaces for batched multi-RHS solves: the interleaved CG and
-/// V-cycle scratch plus the interleaved right-hand side.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    cg: CgMultiScratch,
-    mg: MgScratchMulti,
-    rhs: Vec<f64>,
-}
-
-#[derive(Debug, Default)]
-struct BatchScratchPool(Mutex<Vec<BatchScratch>>);
-
-impl BatchScratchPool {
-    fn take(&self) -> BatchScratch {
-        self.0.lock().expect("batch scratch pool poisoned").pop().unwrap_or_default()
-    }
-
-    fn put(&self, s: BatchScratch) {
-        self.0.lock().expect("batch scratch pool poisoned").push(s);
-    }
-}
-
-impl Clone for BatchScratchPool {
-    fn clone(&self) -> Self {
-        Self::default()
     }
 }
 
@@ -208,7 +183,6 @@ pub struct ThermalModel {
     /// [`ThermalModel::set_parallel_lanes`]).
     lanes: usize,
     scratch: ScratchPool,
-    batch_scratch: BatchScratchPool,
     transient_diags: TransientCache,
 }
 
@@ -222,131 +196,17 @@ pub struct BatchSolveRequest<'a> {
     pub guess: Option<&'a [f64]>,
 }
 
-/// `y = A x` for a conductance network, in gather form: every output cell
-/// accumulates `diag*x - sum(g * x_neighbor)` with a fixed neighbor order
-/// (left, right, down, up, below, above), so the result is independent of
-/// how the output range is chunked across lanes. Shared between the fine
-/// model and the multigrid levels. `lanes` caps the pool lanes used; 1 (or
-/// a system below [`PAR_MIN_NODES`] nodes) runs the serial path.
+/// `y = A x` for a conductance network over k interleaved `[node][rhs]`
+/// systems, in gather form: every output cell accumulates
+/// `diag*x - sum(g * x_neighbor)` with a fixed neighbor order (left, right,
+/// down, up, below, above), so the result is independent of how the output
+/// range is chunked across lanes. One fused pass over the conductance
+/// arrays applies the operator to every system, and per system the
+/// arithmetic does not depend on k. Shared between the fine model and the
+/// multigrid levels. `lanes` caps the pool lanes used; 1 (or a system below
+/// [`PAR_MIN_NODES`] nodes) runs one chunk on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_network(
-    nx: usize,
-    ny: usize,
-    nl: usize,
-    gx: &[f64],
-    gy: &[f64],
-    gz: &[f64],
-    diag: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    lanes: usize,
-) {
-    let n = nl * ny * nx;
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(y.len(), n);
-    let total_rows = nl * ny;
-    let lanes = if n >= PAR_MIN_NODES { lanes.min(total_rows).max(1) } else { 1 };
-    if lanes <= 1 {
-        apply_rows(nx, ny, nl, gx, gy, gz, diag, x, 0, total_rows, y);
-        return;
-    }
-    let span = total_rows.div_ceil(lanes);
-    let mut items: Vec<(usize, &mut [f64])> = Vec::with_capacity(lanes);
-    let mut rest = y;
-    let mut row0 = 0;
-    while row0 < total_rows {
-        let rows = span.min(total_rows - row0);
-        let (chunk, tail) = rest.split_at_mut(rows * nx);
-        rest = tail;
-        items.push((row0, chunk));
-        row0 += rows;
-    }
-    tesa_util::pool::global().scatter(lanes, items, |_, (start, chunk)| {
-        let rows = chunk.len() / nx;
-        apply_rows(nx, ny, nl, gx, gy, gz, diag, x, start, start + rows, chunk);
-    });
-}
-
-/// The rows `[row_start, row_end)` of the mat-vec (global row = `l*ny+iy`),
-/// written to `out` starting at the first row's offset.
-#[allow(clippy::too_many_arguments)]
-fn apply_rows(
-    nx: usize,
-    ny: usize,
-    nl: usize,
-    gx: &[f64],
-    gy: &[f64],
-    gz: &[f64],
-    diag: &[f64],
-    x: &[f64],
-    row_start: usize,
-    row_end: usize,
-    out: &mut [f64],
-) {
-    // Each neighbor direction is its own stride-1 pass over the row. The
-    // per-element accumulation order (diag, left, right, down, up, below,
-    // above) matches the historical element-at-a-time loop exactly, so the
-    // results are bit-identical — the passes just vectorize.
-    let plane = ny * nx;
-    for row in row_start..row_end {
-        let l = row / ny;
-        let iy = row % ny;
-        let base = row * nx;
-        let o = (row - row_start) * nx;
-        let out_row = &mut out[o..o + nx];
-        let xrow = &x[base..base + nx];
-        let drow = &diag[base..base + nx];
-        for ix in 0..nx {
-            out_row[ix] = drow[ix] * xrow[ix];
-        }
-        if nx > 1 {
-            let gxrow = &gx[l * ny * (nx - 1) + iy * (nx - 1)..][..nx - 1];
-            for ix in 1..nx {
-                out_row[ix] -= gxrow[ix - 1] * xrow[ix - 1];
-            }
-            for ix in 0..nx - 1 {
-                out_row[ix] -= gxrow[ix] * xrow[ix + 1];
-            }
-        }
-        if iy > 0 {
-            let gyrow = &gy[l * (ny - 1) * nx + (iy - 1) * nx..][..nx];
-            let xprev = &x[base - nx..base];
-            for ix in 0..nx {
-                out_row[ix] -= gyrow[ix] * xprev[ix];
-            }
-        }
-        if iy + 1 < ny {
-            let gyrow = &gy[l * (ny - 1) * nx + iy * nx..][..nx];
-            let xnext = &x[base + nx..base + 2 * nx];
-            for ix in 0..nx {
-                out_row[ix] -= gyrow[ix] * xnext[ix];
-            }
-        }
-        if l > 0 {
-            let gzrow = &gz[(l - 1) * plane + iy * nx..][..nx];
-            let xbelow = &x[base - plane..base - plane + nx];
-            for ix in 0..nx {
-                out_row[ix] -= gzrow[ix] * xbelow[ix];
-            }
-        }
-        if l + 1 < nl {
-            let gzrow = &gz[l * plane + iy * nx..][..nx];
-            let xabove = &x[base + plane..base + plane + nx];
-            for ix in 0..nx {
-                out_row[ix] -= gzrow[ix] * xabove[ix];
-            }
-        }
-    }
-}
-
-/// [`apply_network`] over k interleaved `[node][rhs]` systems: one fused
-/// pass over the conductance arrays applies the operator to every system.
-/// Per system the per-element accumulation order is exactly the serial
-/// kernel's (and every output element is computed independently), so each
-/// system's result is bit-identical to a serial [`apply_network`] for any
-/// chunking and lane count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_network_multi(
     nx: usize,
     ny: usize,
     nl: usize,
@@ -365,7 +225,7 @@ pub(crate) fn apply_network_multi(
     let total_rows = nl * ny;
     let lanes = if n >= PAR_MIN_NODES { lanes.min(total_rows).max(1) } else { 1 };
     if lanes <= 1 {
-        dispatch_width!(k, apply_rows_multi(nx, ny, nl, gx, gy, gz, diag, x, 0, total_rows, y, k));
+        dispatch_width!(k, apply_rows(nx, ny, nl, gx, gy, gz, diag, x, 0, total_rows, y, k));
         return;
     }
     let span = total_rows.div_ceil(lanes);
@@ -383,7 +243,7 @@ pub(crate) fn apply_network_multi(
         let rows = chunk.len() / (nx * k);
         dispatch_width!(
             k,
-            apply_rows_multi(nx, ny, nl, gx, gy, gz, diag, x, start, start + rows, chunk, k)
+            apply_rows(nx, ny, nl, gx, gy, gz, diag, x, start, start + rows, chunk, k)
         );
     });
 }
@@ -414,14 +274,16 @@ fn sub_pass<const KW: usize>(out_row: &mut [f64], xrow: &[f64], coeff: &[f64], k
     }
 }
 
-/// [`apply_rows`] over k interleaved systems: the same six directional
-/// passes, each widened to a k-element inner loop per cell and delegated to
-/// [`scale_pass`]/[`sub_pass`]. Per system the per-element accumulation
-/// order (diag, left, right, down, up, below, above) matches the serial
-/// kernel exactly, so the results are bit-identical; the helpers and the
-/// const width (`KW`, via [`dispatch_width!`]) only change codegen.
+/// The rows `[row_start, row_end)` of the mat-vec (global row = `l*ny+iy`)
+/// over k interleaved systems, written to `out` starting at the first
+/// row's offset. Each neighbor direction is its own stride-1 pass over the
+/// row, delegated to [`scale_pass`]/[`sub_pass`]; per system the
+/// per-element accumulation order (diag, left, right, down, up, below,
+/// above) matches the historical element-at-a-time loop exactly, so the
+/// results are bit-identical — the passes and the const width (`KW`, via
+/// [`dispatch_width!`]) only change codegen.
 #[allow(clippy::too_many_arguments)]
-fn apply_rows_multi<const KW: usize>(
+fn apply_rows<const KW: usize>(
     nx: usize,
     ny: usize,
     nl: usize,
@@ -657,7 +519,6 @@ impl ThermalModel {
             mg,
             lanes: tesa_util::pool::global().lanes(),
             scratch: ScratchPool::default(),
-            batch_scratch: BatchScratchPool::default(),
             transient_diags: TransientCache::default(),
         }
     }
@@ -737,10 +598,11 @@ impl ThermalModel {
         )
     }
 
-    /// Applies the conductance matrix: `y = A x`.
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
+    /// Applies the conductance matrix to k interleaved systems: `y = A x`.
+    fn apply(&self, x: &[f64], y: &mut [f64], k: usize) {
         apply_network(
             self.nx, self.ny, self.nl, &self.gx, &self.gy, &self.gz, &self.diag, x, y, self.lanes,
+            k,
         );
     }
 
@@ -752,9 +614,8 @@ impl ThermalModel {
     /// conjugate-gradient solver fails to converge (which indicates a
     /// malformed stack, not a user input problem).
     pub fn solve(&self, power: &PowerMap) -> ThermalField {
-        let mut x = vec![self.ambient_c; self.nl * self.ny * self.nx];
-        self.steady_solve(power, &mut x, false);
-        ThermalField { nx: self.nx, ny: self.ny, num_layers: self.nl, temps_c: x }
+        let x = vec![self.ambient_c; self.nl * self.ny * self.nx];
+        self.solve_systems(&[(power, false, Tolerance::default())], x).remove(0)
     }
 
     /// Solves the steady state starting from a previous solution — an
@@ -767,84 +628,129 @@ impl ThermalModel {
     pub fn solve_with_guess(&self, power: &PowerMap, guess: &[f64]) -> ThermalField {
         let n = self.nl * self.ny * self.nx;
         assert_eq!(guess.len(), n, "warm-start guess has the wrong length");
-        let mut x = guess.to_vec();
-        self.steady_solve(power, &mut x, true);
-        ThermalField { nx: self.nx, ny: self.ny, num_layers: self.nl, temps_c: x }
+        self.solve_systems(&[(power, true, Tolerance::default())], guess.to_vec()).remove(0)
     }
 
-    /// The steady-state CG solve into a caller-owned field buffer; all
-    /// other work vectors come from the pooled scratch. `warm` tags the
-    /// trace event with whether `x` is a reused previous solution.
-    fn steady_solve(&self, power: &PowerMap, x: &mut [f64], warm: bool) {
-        match self.steady_solve_outcome(power, x, warm, false, solver::Tolerance::default()) {
-            CgOutcome::Converged { .. } => {}
-            CgOutcome::MaxIterations { residual } => {
-                panic!("thermal CG failed to converge (residual {residual:e})")
+    /// Batched [`ThermalModel::solve`]: one fused multi-RHS CG run over all
+    /// power maps, cold-started from ambient. Each returned field is
+    /// bit-identical to `solve` on that power map alone.
+    ///
+    /// # Panics
+    ///
+    /// As for [`ThermalModel::solve`], for any of the systems.
+    pub fn solve_batch(&self, powers: &[&PowerMap]) -> Vec<ThermalField> {
+        let xs = vec![self.ambient_c; self.nl * self.ny * self.nx * powers.len()];
+        let systems: Vec<(&PowerMap, bool, Tolerance)> =
+            powers.iter().map(|&p| (p, false, Tolerance::default())).collect();
+        self.solve_systems(&systems, xs)
+    }
+
+    /// Steady solves of `systems` (power, warm flag, tolerance) from the
+    /// interleaved initial iterates `xs`, panicking if any fails to
+    /// converge.
+    fn solve_systems(
+        &self,
+        systems: &[(&PowerMap, bool, Tolerance)],
+        mut xs: Vec<f64>,
+    ) -> Vec<ThermalField> {
+        for outcome in self.steady_solve_outcome(systems, &mut xs, false) {
+            if let CgOutcome::MaxIterations { residual } = outcome {
+                panic!("thermal CG failed to converge (residual {residual:e})");
             }
         }
+        self.fields(xs, systems.len())
     }
 
-    /// One steady-state CG attempt; the caller decides what a
-    /// non-convergent outcome means. `force_jacobi` bypasses the multigrid
-    /// preconditioner (the fallback rung of the degradation ladder).
+    /// The fields of `k` interleaved solutions; a single one is moved, not
+    /// copied.
+    fn fields(&self, xs: Vec<f64>, k: usize) -> Vec<ThermalField> {
+        solver::split_systems(xs, k)
+            .into_iter()
+            .map(|temps_c| ThermalField { nx: self.nx, ny: self.ny, num_layers: self.nl, temps_c })
+            .collect()
+    }
+
+    /// One steady-state CG attempt over `systems` (power, warm flag,
+    /// tolerance), with the initial iterates interleaved in `xs`; the
+    /// caller decides what a non-convergent outcome means. `force_jacobi`
+    /// bypasses the multigrid preconditioner (the fallback rung of the
+    /// degradation ladder). Emits one `thermal.cg` event per system and,
+    /// when more than one system shares the fused sweeps, one
+    /// `thermal.batch` event.
     fn steady_solve_outcome(
         &self,
-        power: &PowerMap,
-        x: &mut [f64],
-        warm: bool,
+        systems: &[(&PowerMap, bool, Tolerance)],
+        xs: &mut [f64],
         force_jacobi: bool,
-        tol: solver::Tolerance,
-    ) -> CgOutcome {
+    ) -> Vec<CgOutcome> {
+        let k = systems.len();
         let n = self.nl * self.ny * self.nx;
-        assert_eq!(power.watts.len(), n, "power map does not match this model's grid");
         let mut s = self.scratch.take();
-        // Right-hand side: injected power plus the ambient anchor.
-        s.rhs.clear();
-        s.rhs.extend_from_slice(&power.watts);
+        let Scratch { cg, mg: mgs, rhs } = &mut s;
+        // Right-hand sides: injected power plus the ambient anchor.
+        let watts: Vec<Option<&[f64]>> = systems
+            .iter()
+            .map(|(power, _, _)| {
+                assert_eq!(power.watts.len(), n, "power map does not match this model's grid");
+                Some(power.watts.as_slice())
+            })
+            .collect();
+        solver::interleave(&watts, n, 0.0, rhs);
         let top = (self.nl - 1) * self.ny * self.nx;
         for c in 0..self.ny * self.nx {
-            s.rhs[top + c] += self.gamb[c] * self.ambient_c;
+            let anchor = self.gamb[c] * self.ambient_c;
+            for slot in &mut rhs[(top + c) * k..(top + c + 1) * k] {
+                *slot += anchor;
+            }
         }
+        let tols: Vec<Tolerance> = systems.iter().map(|&(_, _, tol)| tol).collect();
         let mg = if force_jacobi { None } else { self.mg.as_ref() };
         let used_mg = mg.is_some();
-        let outcome = match mg {
+        let apply = |v: &[f64], out: &mut [f64], kw: usize| self.apply(v, out, kw);
+        let result = match mg {
             Some(mg) => solver::preconditioned_cg(
-                |v, out| self.apply(v, out),
-                |r, z| mg.vcycle(r, z, &mut s.mg, self.lanes),
-                &s.rhs,
-                x,
-                tol,
-                &mut s.cg,
+                apply,
+                |r, z, kw| mg.vcycle(r, z, mgs, self.lanes, kw),
+                rhs,
+                xs,
+                n,
+                &tols,
+                cg,
                 self.lanes,
             ),
             None => solver::preconditioned_cg(
-                |v, out| self.apply(v, out),
+                apply,
                 solver::jacobi(&self.diag),
-                &s.rhs,
-                x,
-                tol,
-                &mut s.cg,
+                rhs,
+                xs,
+                n,
+                &tols,
+                cg,
                 self.lanes,
             ),
         };
         self.scratch.put(s);
-        let (solve_iters, _) = outcome.stats(tol.max_iters);
-        CG_ITERS.record(solve_iters as u64);
         if used_mg {
-            // Single-RHS PCG applies the preconditioner once per iteration.
-            VCYCLES.add(solve_iters as u64);
+            VCYCLES.add(result.precond_calls);
         }
-        trace::event("thermal.cg", || {
-            let (iters, residual) = outcome.stats(tol.max_iters);
-            vec![
-                ("n", Json::U64(n as u64)),
-                ("precond", Json::str(if used_mg { "multigrid" } else { "jacobi" })),
-                ("warm", Json::Bool(warm)),
-                ("iters", Json::U64(iters as u64)),
-                ("residual", Json::F64(residual)),
-            ]
-        });
-        outcome
+        let precond = if used_mg { "multigrid" } else { "jacobi" };
+        for (&(_, warm, tol), &outcome) in systems.iter().zip(&result.outcomes) {
+            CG_ITERS.record(outcome.stats(tol.max_iters).0 as u64);
+            trace::event("thermal.cg", move || {
+                let (iters, residual) = outcome.stats(tol.max_iters);
+                vec![
+                    ("n", Json::U64(n as u64)),
+                    ("precond", Json::str(precond)),
+                    ("warm", Json::Bool(warm)),
+                    ("iters", Json::U64(iters as u64)),
+                    ("residual", Json::F64(residual)),
+                ]
+            });
+        }
+        if k > 1 {
+            record_batch(n, precond, &result, &tols);
+        }
+        result.outcomes
     }
 
     /// Solves the steady state through a degradation ladder instead of
@@ -871,175 +777,16 @@ impl ThermalModel {
         power: &PowerMap,
         guess: Option<&[f64]>,
     ) -> Result<(ThermalField, SolveQuality), SolveError> {
-        let n = self.nl * self.ny * self.nx;
-        let (mut x, warm) = match guess {
-            Some(g) => {
-                assert_eq!(g.len(), n, "warm-start guess has the wrong length");
-                (g.to_vec(), true)
-            }
-            None => (vec![self.ambient_c; n], false),
-        };
-        let primary = if faultpoint::fire("thermal.cg.diverge") {
-            // Injected divergence skips the solve entirely, so the fault
-            // fires regardless of how quickly this grid actually converges.
-            CgOutcome::MaxIterations { residual: f64::INFINITY }
-        } else {
-            let tol = if faultpoint::fire("thermal.cg.budget") {
-                solver::Tolerance { max_iters: 1, ..solver::Tolerance::default() }
-            } else {
-                solver::Tolerance::default()
-            };
-            self.steady_solve_outcome(power, &mut x, warm, false, tol)
-        };
-        let residual = match primary {
-            CgOutcome::Converged { .. } => {
-                let field =
-                    ThermalField { nx: self.nx, ny: self.ny, num_layers: self.nl, temps_c: x };
-                return Ok((field, SolveQuality::Full));
-            }
-            CgOutcome::MaxIterations { residual } => residual,
-        };
-        CG_DEGRADED.inc();
-        trace::counter("thermal.cg.degraded", 1.0);
-        let mut x2 = vec![self.ambient_c; n];
-        let fallback = if faultpoint::fire("thermal.cg.fallback") {
-            CgOutcome::MaxIterations { residual }
-        } else {
-            self.steady_solve_outcome(power, &mut x2, false, true, solver::Tolerance::default())
-        };
-        match fallback {
-            CgOutcome::Converged { .. } => {
-                let field =
-                    ThermalField { nx: self.nx, ny: self.ny, num_layers: self.nl, temps_c: x2 };
-                Ok((field, SolveQuality::DegradedJacobi))
-            }
-            CgOutcome::MaxIterations { residual } => Err(SolveError { residual }),
-        }
-    }
-
-    /// Applies the conductance matrix to k interleaved systems.
-    fn apply_multi(&self, x: &[f64], y: &mut [f64], k: usize) {
-        apply_network_multi(
-            self.nx, self.ny, self.nl, &self.gx, &self.gy, &self.gz, &self.diag, x, y, self.lanes,
-            k,
-        );
-    }
-
-    /// One batched steady-state CG attempt over `systems` (power, warm
-    /// flag, tolerance), with initial iterates interleaved in `xs`. Emits
-    /// the same per-system `thermal.cg` events a serial loop would, plus
-    /// one `thermal.batch` event when more than one system actually shares
-    /// the fused sweeps. A single-system batch delegates to the serial
-    /// path verbatim.
-    fn steady_solve_outcome_multi(
-        &self,
-        systems: &[(&PowerMap, bool, solver::Tolerance)],
-        xs: &mut [f64],
-        force_jacobi: bool,
-    ) -> Vec<CgOutcome> {
-        let k = systems.len();
-        let n = self.nl * self.ny * self.nx;
-        if k == 1 {
-            let (power, warm, tol) = systems[0];
-            return vec![self.steady_solve_outcome(power, xs, warm, force_jacobi, tol)];
-        }
-        assert_eq!(xs.len(), n * k, "interleaved iterate must be n * k");
-        let mut s = self.batch_scratch.take();
-        let BatchScratch { cg, mg: mgs, rhs } = &mut s;
-        rhs.clear();
-        rhs.resize(n * k, 0.0);
-        for (sy, (power, _, _)) in systems.iter().enumerate() {
-            assert_eq!(power.watts.len(), n, "power map does not match this model's grid");
-            for (i, &p) in power.watts.iter().enumerate() {
-                rhs[i * k + sy] = p;
-            }
-        }
-        let top = (self.nl - 1) * self.ny * self.nx;
-        for c in 0..self.ny * self.nx {
-            let anchor = self.gamb[c] * self.ambient_c;
-            for slot in &mut rhs[(top + c) * k..(top + c + 1) * k] {
-                *slot += anchor;
-            }
-        }
-        let tols: Vec<solver::Tolerance> = systems.iter().map(|&(_, _, tol)| tol).collect();
-        let mg = if force_jacobi { None } else { self.mg.as_ref() };
-        let used_mg = mg.is_some();
-        let result = match mg {
-            Some(mg) => solver::preconditioned_cg_multi(
-                |v, out, kw| self.apply_multi(v, out, kw),
-                |r, z, kw| mg.vcycle_multi(r, z, mgs, self.lanes, kw),
-                rhs,
-                xs,
-                n,
-                &tols,
-                cg,
-                self.lanes,
-            ),
-            None => solver::preconditioned_cg_multi(
-                |v, out, kw| self.apply_multi(v, out, kw),
-                |r: &[f64], z: &mut [f64], kw: usize| {
-                    for ((zc, rc), &d) in
-                        z.chunks_exact_mut(kw).zip(r.chunks_exact(kw)).zip(&self.diag)
-                    {
-                        for (zi, &ri) in zc.iter_mut().zip(rc) {
-                            *zi = ri / d;
-                        }
-                    }
-                },
-                rhs,
-                xs,
-                n,
-                &tols,
-                cg,
-                self.lanes,
-            ),
-        };
-        self.batch_scratch.put(s);
-        BATCH_WIDTH.record(k as u64);
-        if used_mg {
-            // The fused multi-RHS V-cycle preconditions every unretired
-            // system in one sweep; count sweeps, not sweeps x systems.
-            VCYCLES.add(result.fused_sweeps);
-        }
-        for (sy, &(_, warm, tol)) in systems.iter().enumerate() {
-            let outcome = result.outcomes[sy];
-            CG_ITERS.record(outcome.stats(tol.max_iters).0 as u64);
-            trace::event("thermal.cg", move || {
-                let (iters, residual) = outcome.stats(tol.max_iters);
-                vec![
-                    ("n", Json::U64(n as u64)),
-                    ("precond", Json::str(if used_mg { "multigrid" } else { "jacobi" })),
-                    ("warm", Json::Bool(warm)),
-                    ("iters", Json::U64(iters as u64)),
-                    ("residual", Json::F64(residual)),
-                ]
-            });
-        }
-        trace::event("thermal.batch", || {
-            let retire: Vec<Json> = result
-                .outcomes
-                .iter()
-                .zip(&tols)
-                .map(|(o, t)| Json::U64(o.stats(t.max_iters).0 as u64))
-                .collect();
-            vec![
-                ("n", Json::U64(n as u64)),
-                ("batch", Json::U64(k as u64)),
-                ("precond", Json::str(if used_mg { "multigrid" } else { "jacobi" })),
-                ("fused_sweeps", Json::U64(result.fused_sweeps)),
-                ("retire_iters", Json::Arr(retire)),
-            ]
-        });
-        result.outcomes
+        self.solve_batch_recoverable(&[BatchSolveRequest { power, guess }]).remove(0)
     }
 
     /// Batched [`ThermalModel::solve_recoverable`]: solves every request's
     /// steady state through one multi-RHS CG run per degradation-ladder
     /// rung, sharing each fused stencil sweep across all unretired
     /// systems. Every request's field, quality, and error are bit-identical
-    /// to a serial `solve_recoverable` of that request alone, and the
+    /// to a `solve_recoverable` of that request alone, and the
     /// fault-injection sites fire once per request in request order exactly
-    /// as a serial loop over the batch would fire them.
+    /// as a loop over the batch would fire them.
     ///
     /// # Errors
     ///
@@ -1052,171 +799,80 @@ impl ThermalModel {
         &self,
         requests: &[BatchSolveRequest<'_>],
     ) -> Vec<Result<(ThermalField, SolveQuality), SolveError>> {
-        let k = requests.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        if k == 1 {
-            return vec![self.solve_recoverable(requests[0].power, requests[0].guess)];
-        }
         let n = self.nl * self.ny * self.nx;
 
-        // Fire the per-request fault sites in request order, exactly as a
-        // serial loop over the requests would (the schedules are per-site).
-        struct Primary {
-            diverged: bool,
-            warm: bool,
-            tol: solver::Tolerance,
+        // Fire the per-request primary fault sites in request order; an
+        // injected divergence skips the solve, so the fault fires
+        // regardless of how quickly this grid actually converges.
+        let mut live: Vec<usize> = Vec::with_capacity(requests.len());
+        let mut systems: Vec<(&PowerMap, bool, Tolerance)> = Vec::with_capacity(requests.len());
+        for (i, req) in requests.iter().enumerate() {
+            if let Some(g) = req.guess {
+                assert_eq!(g.len(), n, "warm-start guess has the wrong length");
+            }
+            if faultpoint::fire("thermal.cg.diverge") {
+                continue;
+            }
+            let tol = if faultpoint::fire("thermal.cg.budget") {
+                Tolerance { max_iters: 1, ..Tolerance::default() }
+            } else {
+                Tolerance::default()
+            };
+            live.push(i);
+            systems.push((req.power, req.guess.is_some(), tol));
         }
-        let primaries: Vec<Primary> = requests
-            .iter()
-            .map(|req| {
-                if let Some(g) = req.guess {
-                    assert_eq!(g.len(), n, "warm-start guess has the wrong length");
-                }
-                if faultpoint::fire("thermal.cg.diverge") {
-                    Primary { diverged: true, warm: false, tol: solver::Tolerance::default() }
-                } else {
-                    let tol = if faultpoint::fire("thermal.cg.budget") {
-                        solver::Tolerance { max_iters: 1, ..solver::Tolerance::default() }
-                    } else {
-                        solver::Tolerance::default()
-                    };
-                    Primary { diverged: false, warm: req.guess.is_some(), tol }
-                }
-            })
-            .collect();
 
-        // Batch the non-diverged primaries through the multi engine.
-        let live: Vec<usize> = (0..k).filter(|&i| !primaries[i].diverged).collect();
-        let mut primary_outcomes: Vec<CgOutcome> =
-            vec![CgOutcome::MaxIterations { residual: f64::INFINITY }; k];
-        let mut xs = vec![0.0; n * live.len()];
+        // One batched primary solve over the requests that were not failed.
+        let mut primary: Vec<Option<(CgOutcome, ThermalField)>> =
+            requests.iter().map(|_| None).collect();
         if !live.is_empty() {
-            let kl = live.len();
-            for (sy, &i) in live.iter().enumerate() {
-                match requests[i].guess {
-                    Some(g) => {
-                        for (node, &v) in g.iter().enumerate() {
-                            xs[node * kl + sy] = v;
-                        }
-                    }
-                    None => {
-                        for node in 0..n {
-                            xs[node * kl + sy] = self.ambient_c;
-                        }
-                    }
-                }
-            }
-            let systems: Vec<(&PowerMap, bool, solver::Tolerance)> = live
-                .iter()
-                .map(|&i| (requests[i].power, primaries[i].warm, primaries[i].tol))
-                .collect();
-            let outcomes = self.steady_solve_outcome_multi(&systems, &mut xs, false);
-            for (sy, &i) in live.iter().enumerate() {
-                primary_outcomes[i] = outcomes[sy];
+            let guesses: Vec<Option<&[f64]>> = live.iter().map(|&i| requests[i].guess).collect();
+            let mut xs = Vec::new();
+            solver::interleave(&guesses, n, self.ambient_c, &mut xs);
+            let outcomes = self.steady_solve_outcome(&systems, &mut xs, false);
+            let fields = self.fields(xs, live.len());
+            for ((&i, outcome), field) in live.iter().zip(outcomes).zip(fields) {
+                primary[i] = Some((outcome, field));
             }
         }
 
-        // Classify, firing the fallback sites in request order.
-        struct Fallback {
-            failed_residual: f64,
-            skipped: bool,
-        }
-        let mut fallbacks: Vec<Option<Fallback>> = Vec::with_capacity(k);
-        for outcome in &primary_outcomes {
-            match outcome {
-                CgOutcome::Converged { .. } => fallbacks.push(None),
-                CgOutcome::MaxIterations { residual } => {
-                    CG_DEGRADED.inc();
-                    trace::counter("thermal.cg.degraded", 1.0);
-                    fallbacks.push(Some(Fallback {
-                        failed_residual: *residual,
-                        skipped: faultpoint::fire("thermal.cg.fallback"),
-                    }));
+        // Classify in request order, firing the fallback sites.
+        let mut results: Vec<Option<Result<(ThermalField, SolveQuality), SolveError>>> =
+            requests.iter().map(|_| None).collect();
+        let mut retry: Vec<usize> = Vec::new();
+        for (i, slot) in primary.into_iter().enumerate() {
+            let residual = match slot {
+                Some((CgOutcome::Converged { .. }, field)) => {
+                    results[i] = Some(Ok((field, SolveQuality::Full)));
+                    continue;
                 }
+                Some((CgOutcome::MaxIterations { residual }, _)) => residual,
+                None => f64::INFINITY,
+            };
+            CG_DEGRADED.inc();
+            trace::counter("thermal.cg.degraded", 1.0);
+            if faultpoint::fire("thermal.cg.fallback") {
+                results[i] = Some(Err(SolveError { residual }));
+            } else {
+                retry.push(i);
             }
         }
 
-        // Batch the cold-start Jacobi fallbacks.
-        let retry: Vec<usize> =
-            (0..k).filter(|&i| fallbacks[i].as_ref().is_some_and(|f| !f.skipped)).collect();
-        let mut fallback_outcomes: Vec<Option<CgOutcome>> = vec![None; k];
-        let mut xs2 = vec![self.ambient_c; n * retry.len()];
+        // One batched cold-start Jacobi solve over the fallbacks.
         if !retry.is_empty() {
-            let systems: Vec<(&PowerMap, bool, solver::Tolerance)> = retry
-                .iter()
-                .map(|&i| (requests[i].power, false, solver::Tolerance::default()))
-                .collect();
-            let outcomes = self.steady_solve_outcome_multi(&systems, &mut xs2, true);
-            for (sy, &i) in retry.iter().enumerate() {
-                fallback_outcomes[i] = Some(outcomes[sy]);
+            let systems: Vec<(&PowerMap, bool, Tolerance)> =
+                retry.iter().map(|&i| (requests[i].power, false, Tolerance::default())).collect();
+            let mut xs = vec![self.ambient_c; n * retry.len()];
+            let outcomes = self.steady_solve_outcome(&systems, &mut xs, true);
+            let fields = self.fields(xs, retry.len());
+            for ((&i, outcome), field) in retry.iter().zip(outcomes).zip(fields) {
+                results[i] = Some(match outcome {
+                    CgOutcome::Converged { .. } => Ok((field, SolveQuality::DegradedJacobi)),
+                    CgOutcome::MaxIterations { residual } => Err(SolveError { residual }),
+                });
             }
         }
-
-        // Assemble per-request results, de-interleaving the solved fields.
-        let field_from = |xs: &[f64], width: usize, lane: usize| -> ThermalField {
-            let temps_c: Vec<f64> = (0..n).map(|node| xs[node * width + lane]).collect();
-            ThermalField { nx: self.nx, ny: self.ny, num_layers: self.nl, temps_c }
-        };
-        (0..k)
-            .map(|i| match (&primary_outcomes[i], &fallbacks[i]) {
-                (CgOutcome::Converged { .. }, _) => {
-                    let lane = live.iter().position(|&j| j == i).expect("converged ⇒ live");
-                    Ok((field_from(&xs, live.len(), lane), SolveQuality::Full))
-                }
-                (CgOutcome::MaxIterations { .. }, Some(fb)) => {
-                    if fb.skipped {
-                        return Err(SolveError { residual: fb.failed_residual });
-                    }
-                    let lane = retry.iter().position(|&j| j == i).expect("retried ⇒ in retry");
-                    match fallback_outcomes[i].expect("retried ⇒ outcome recorded") {
-                        CgOutcome::Converged { .. } => {
-                            Ok((field_from(&xs2, retry.len(), lane), SolveQuality::DegradedJacobi))
-                        }
-                        CgOutcome::MaxIterations { residual } => Err(SolveError { residual }),
-                    }
-                }
-                (CgOutcome::MaxIterations { .. }, None) => {
-                    unreachable!("failed primaries always classify a fallback")
-                }
-            })
-            .collect()
-    }
-
-    /// Batched [`ThermalModel::solve`]: one fused multi-RHS CG run over all
-    /// power maps, cold-started from ambient. Each returned field is
-    /// bit-identical to `solve` on that power map alone.
-    ///
-    /// # Panics
-    ///
-    /// As for [`ThermalModel::solve`], for any of the systems.
-    pub fn solve_batch(&self, powers: &[&PowerMap]) -> Vec<ThermalField> {
-        let k = powers.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        if k == 1 {
-            return vec![self.solve(powers[0])];
-        }
-        let n = self.nl * self.ny * self.nx;
-        let mut xs = vec![self.ambient_c; n * k];
-        let systems: Vec<(&PowerMap, bool, solver::Tolerance)> =
-            powers.iter().map(|&p| (p, false, solver::Tolerance::default())).collect();
-        let outcomes = self.steady_solve_outcome_multi(&systems, &mut xs, false);
-        for outcome in &outcomes {
-            if let CgOutcome::MaxIterations { residual } = outcome {
-                panic!("thermal CG failed to converge (residual {residual:e})");
-            }
-        }
-        (0..k)
-            .map(|sy| ThermalField {
-                nx: self.nx,
-                ny: self.ny,
-                num_layers: self.nl,
-                temps_c: (0..n).map(|node| xs[node * k + sy]).collect(),
-            })
-            .collect()
+        results.into_iter().map(|r| r.expect("every request resolves once")).collect()
     }
 
     /// The cached `(C/dt, diag + C/dt)` pair for a step size, rebuilt only
@@ -1274,24 +930,27 @@ impl ThermalModel {
             s.rhs[top + c] += self.gamb[c] * self.ambient_c;
         }
         let mut x = current.temps_c.clone();
+        let tol = Tolerance::default();
         let outcome = solver::preconditioned_cg(
-            |v, out| {
-                self.apply(v, out);
-                for i in 0..n {
-                    out[i] += inv_dt[i] * v[i];
+            |v, out, k| {
+                self.apply(v, out, k);
+                for (o, (&c, &vi)) in out.iter_mut().zip(inv_dt.iter().zip(v)) {
+                    *o += c * vi;
                 }
             },
             solver::jacobi(diag_t),
             &s.rhs,
             &mut x,
-            solver::Tolerance::default(),
+            n,
+            &[tol],
             &mut s.cg,
             self.lanes,
-        );
+        )
+        .outcomes[0];
         self.scratch.put(s);
-        CG_ITERS.record(outcome.stats(solver::Tolerance::default().max_iters).0 as u64);
+        CG_ITERS.record(outcome.stats(tol.max_iters).0 as u64);
         trace::event("thermal.transient_cg", || {
-            let (iters, residual) = outcome.stats(solver::Tolerance::default().max_iters);
+            let (iters, residual) = outcome.stats(tol.max_iters);
             vec![
                 ("n", Json::U64(n as u64)),
                 ("iters", Json::U64(iters as u64)),
@@ -1342,6 +1001,28 @@ impl ThermalModel {
     }
 }
 
+/// Records one multi-RHS batch of `tols.len()` systems of `n` unknowns:
+/// the `tesa_thermal_batch_width` histogram and the `thermal.batch` trace
+/// event (fused sweeps and each system's retirement iteration).
+pub(crate) fn record_batch(n: usize, precond: &'static str, result: &CgResult, tols: &[Tolerance]) {
+    BATCH_WIDTH.record(tols.len() as u64);
+    trace::event("thermal.batch", || {
+        let retire: Vec<Json> = result
+            .outcomes
+            .iter()
+            .zip(tols)
+            .map(|(o, t)| Json::U64(o.stats(t.max_iters).0 as u64))
+            .collect();
+        vec![
+            ("n", Json::U64(n as u64)),
+            ("batch", Json::U64(tols.len() as u64)),
+            ("precond", Json::str(precond)),
+            ("fused_sweeps", Json::U64(result.fused_sweeps)),
+            ("retire_iters", Json::Arr(retire)),
+        ]
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1368,36 +1049,9 @@ mod tests {
     fn solve_counting_iterations(m: &ThermalModel) -> (usize, ThermalField) {
         let mut p = m.zero_power();
         p.add_uniform_rect(1, Rect::new(1.0e-3, 1.0e-3, 2.4e-3, 2.4e-3), 2.0);
-        let n = m.nl * m.ny * m.nx;
-        let mut x = vec![m.ambient_c; n];
-        let mut rhs = p.watts.clone();
-        let top = (m.nl - 1) * m.ny * m.nx;
-        for c in 0..m.ny * m.nx {
-            rhs[top + c] += m.gamb[c] * m.ambient_c;
-        }
-        let mut cg = CgScratch::default();
-        let mut mgs = MgScratch::default();
-        let outcome = match &m.mg {
-            Some(mg) => solver::preconditioned_cg(
-                |v, out| m.apply(v, out),
-                |r, z| mg.vcycle(r, z, &mut mgs, m.lanes),
-                &rhs,
-                &mut x,
-                solver::Tolerance::default(),
-                &mut cg,
-                m.lanes,
-            ),
-            None => solver::preconditioned_cg(
-                |v, out| m.apply(v, out),
-                solver::jacobi(&m.diag),
-                &rhs,
-                &mut x,
-                solver::Tolerance::default(),
-                &mut cg,
-                m.lanes,
-            ),
-        };
-        let iters = match outcome {
+        let mut x = vec![m.ambient_c; m.nl * m.ny * m.nx];
+        let outcome = m.steady_solve_outcome(&[(&p, false, Tolerance::default())], &mut x, false);
+        let iters = match outcome[0] {
             CgOutcome::Converged { iterations, .. } => iterations,
             CgOutcome::MaxIterations { residual } => panic!("no convergence ({residual:e})"),
         };
@@ -1507,10 +1161,10 @@ mod tests {
         }
     }
 
-    /// Batched cold-start solves must match serial `solve` bit for bit,
-    /// per system, whatever the batch width.
+    /// Batched cold-start solves must match single-system `solve` bit for
+    /// bit, per system, whatever the batch width.
     #[test]
-    fn batched_solves_match_serial_bit_for_bit() {
+    fn batched_solves_match_single_system_bit_for_bit() {
         let m = production_model(Preconditioner::Multigrid);
         let powers: Vec<PowerMap> = (0..5)
             .map(|i| {
@@ -1521,23 +1175,23 @@ mod tests {
                 p
             })
             .collect();
-        let serial: Vec<ThermalField> = powers.iter().map(|p| m.solve(p)).collect();
+        let single: Vec<ThermalField> = powers.iter().map(|p| m.solve(p)).collect();
         let refs: Vec<&PowerMap> = powers.iter().collect();
         let batched = m.solve_batch(&refs);
-        for (sy, (a, b)) in batched.iter().zip(&serial).enumerate() {
+        for (sy, (a, b)) in batched.iter().zip(&single).enumerate() {
             assert!(
                 a.as_slice().iter().zip(b.as_slice()).all(|(u, v)| u.to_bits() == v.to_bits()),
-                "batched field {sy} differs from serial"
+                "batched field {sy} differs from the single-system solve"
             );
         }
     }
 
     /// A batched warm-started recoverable solve must match per-request
-    /// serial `solve_recoverable` calls bit for bit, including under an
+    /// single-system `solve_recoverable` calls bit for bit, including under an
     /// injected mid-batch divergence (per-site schedules see the requests
     /// in the same order either way).
     #[test]
-    fn batched_recoverable_matches_serial_under_faults() {
+    fn batched_recoverable_matches_single_system_under_faults() {
         let _l = fault_lock();
         let m = production_model(Preconditioner::Multigrid);
         let powers: Vec<PowerMap> = (0..3)
@@ -1558,7 +1212,7 @@ mod tests {
             .collect();
         let plan = tesa_util::faultpoint::FaultPlan::new()
             .site("thermal.cg.diverge", tesa_util::faultpoint::Trigger::Nth(2));
-        let serial: Vec<_> = {
+        let single: Vec<_> = {
             let _scope = faultpoint::activate(&plan);
             requests.iter().map(|r| m.solve_recoverable(r.power, r.guess)).collect()
         };
@@ -1566,8 +1220,8 @@ mod tests {
             let _scope = faultpoint::activate(&plan);
             m.solve_batch_recoverable(&requests)
         };
-        for (i, (s, b)) in serial.iter().zip(&batched).enumerate() {
-            let (sf, sq) = s.as_ref().expect("serial ladder holds");
+        for (i, (s, b)) in single.iter().zip(&batched).enumerate() {
+            let (sf, sq) = s.as_ref().expect("single-system ladder holds");
             let (bf, bq) = b.as_ref().expect("batched ladder holds");
             assert_eq!(sq, bq, "quality differs for request {i}");
             assert!(

@@ -37,9 +37,18 @@
 //! neighbors in adjacent rows have the opposite parity), so those boundary
 //! rows are snapshotted before the sweep — the snapshot equals the live
 //! values throughout the sweep, and every column solve therefore reads
-//! exactly the values the serial sweep would. Results are bit-identical
-//! for any lane count; the serial path is the one-chunk special case of
-//! the same kernel.
+//! exactly the values the one-chunk sweep would. Results are
+//! bit-identical for any lane count: a single lane runs the same kernel as
+//! one chunk.
+//!
+//! # Several right-hand sides
+//!
+//! Every kernel runs over k systems interleaved `[node][rhs]` (element
+//! (i, s) at `i * k + s`) and streams the level's coefficient arrays once
+//! for all of them. Per system the arithmetic sequence (operand order,
+//! accumulation order, row partition) does not depend on k, so every
+//! system's output is bit-identical to a V-cycle of that system alone —
+//! see the batching notes in `solver.rs`. A single system is k = 1.
 
 use crate::solver::{dispatch_width, eff_width};
 
@@ -88,58 +97,26 @@ pub(crate) struct Multigrid {
 
 /// Per-solve scratch for the V-cycle: one (rhs, x, residual) triple per
 /// level plus per-lane Thomas-algorithm workspaces sized to the stack
-/// depth.
+/// depth, all widened to `[node][rhs]` interleaving at the batch width.
+/// Sized for the largest width seen so far — retirement shrinks the active
+/// width mid-solve, and the kernels then use prefixes of the same
+/// allocations.
 #[derive(Debug, Default)]
 pub(crate) struct MgScratch {
     rhs: Vec<Vec<f64>>,
     x: Vec<Vec<f64>>,
     r: Vec<Vec<f64>>,
-    /// Thomas sweep rhs workspaces, one `nl * nx` row block per lane
+    /// Thomas sweep rhs workspaces, one `nl * nx * kmax` row block per lane
     /// (sized for the fine level; coarser levels use a prefix).
     bufs: Vec<Vec<f64>>,
-    /// Boundary-row snapshots for the chunked sweeps: two `nl * nx` row
-    /// blocks per chunk (the rows just above and below each chunk).
+    /// Boundary-row snapshots for the chunked sweeps: two row blocks per
+    /// chunk (the rows just above and below each chunk).
     snap: Vec<f64>,
-}
-
-impl MgScratch {
-    fn ensure(&mut self, mg: &Multigrid, lanes: usize) {
-        if self.rhs.len() != mg.levels.len() {
-            self.rhs = mg.levels.iter().map(|l| vec![0.0; l.n()]).collect();
-            self.x = mg.levels.iter().map(|l| vec![0.0; l.n()]).collect();
-            self.r = mg.levels.iter().map(|l| vec![0.0; l.n()]).collect();
-        }
-        let block = mg.levels[0].nl * mg.levels[0].nx;
-        if self.bufs.len() != lanes || self.bufs.first().is_none_or(|b| b.len() != block) {
-            self.bufs = (0..lanes).map(|_| vec![0.0; block]).collect();
-        }
-        let snap_need = 2 * lanes * block;
-        if self.snap.len() != snap_need {
-            self.snap = vec![0.0; snap_need];
-        }
-    }
-}
-
-/// Per-batch scratch for the multi-RHS V-cycle: the [`MgScratch`] layout
-/// widened to `[node][rhs]` interleaving at the batch width, plus a pair of
-/// per-system gather buffers for the coarsest-level direct solves. Sized
-/// for the largest width seen so far — retirement shrinks the active width
-/// mid-solve, and the kernels then use prefixes of the same allocations.
-#[derive(Debug, Default)]
-pub(crate) struct MgScratchMulti {
-    rhs: Vec<Vec<f64>>,
-    x: Vec<Vec<f64>>,
-    r: Vec<Vec<f64>>,
-    bufs: Vec<Vec<f64>>,
-    snap: Vec<f64>,
-    /// Coarsest-level per-system rhs/solution gather buffers.
-    cb: Vec<f64>,
-    cx: Vec<f64>,
     /// Largest batch width the level vectors are sized for.
     kmax: usize,
 }
 
-impl MgScratchMulti {
+impl MgScratch {
     fn ensure(&mut self, mg: &Multigrid, lanes: usize, k: usize) {
         if self.rhs.len() != mg.levels.len() || self.kmax < k {
             let kk = k.max(self.kmax).max(1);
@@ -155,11 +132,6 @@ impl MgScratchMulti {
         let snap_need = 2 * lanes * block;
         if self.snap.len() != snap_need {
             self.snap = vec![0.0; snap_need];
-        }
-        let n_c = mg.levels.last().expect("hierarchy is non-empty").n();
-        if self.cb.len() != n_c {
-            self.cb = vec![0.0; n_c];
-            self.cx = vec![0.0; n_c];
         }
     }
 }
@@ -226,17 +198,11 @@ impl Level {
         l * self.ny * self.nx + iy * self.nx + ix
     }
 
-    /// `y = A x` in gather form (every output cell is written exactly once).
-    pub(crate) fn apply(&self, x: &[f64], y: &mut [f64], lanes: usize) {
+    /// `y = A x` over k interleaved `[node][rhs]` systems in gather form
+    /// (every output cell is written exactly once) — one fused pass over
+    /// this level's conductance arrays.
+    pub(crate) fn apply(&self, x: &[f64], y: &mut [f64], lanes: usize, k: usize) {
         crate::model::apply_network(
-            self.nx, self.ny, self.nl, &self.gx, &self.gy, &self.gz, &self.diag, x, y, lanes,
-        );
-    }
-
-    /// `y = A x` over k interleaved `[node][rhs]` systems — one fused pass
-    /// over this level's conductance arrays.
-    pub(crate) fn apply_multi(&self, x: &[f64], y: &mut [f64], lanes: usize, k: usize) {
-        crate::model::apply_network_multi(
             self.nx, self.ny, self.nl, &self.gx, &self.gy, &self.gz, &self.diag, x, y, lanes, k,
         );
     }
@@ -251,19 +217,21 @@ impl Level {
         }
     }
 
-    /// Splits an l-major `nl * ny * nx` field into per-chunk row sets for
-    /// `nc` contiguous `iy` ranges of span `span`: chunk `k` receives the
-    /// `&mut` row slices `(l, iy)` with `iy` in `[k*span, (k+1)*span)`,
-    /// ordered so that index `l * cny + (iy - y0)` addresses row `(l, iy)`.
+    /// Splits an l-major `nl * ny * nx` field of k interleaved systems into
+    /// per-chunk row sets for `nc` contiguous `iy` ranges of span `span`:
+    /// chunk `c` receives the `&mut` rows `(l, iy)` (each `nx * k` elements)
+    /// with `iy` in `[c*span, (c+1)*span)`, ordered so that index
+    /// `l * cny + (iy - y0)` addresses row `(l, iy)`.
     fn bucket_rows<'a>(
         &self,
         data: &'a mut [f64],
         span: usize,
         nc: usize,
+        k: usize,
     ) -> Vec<Vec<&'a mut [f64]>> {
         let mut groups: Vec<Vec<&'a mut [f64]>> =
             (0..nc).map(|_| Vec::with_capacity(self.nl * span)).collect();
-        for (r, row) in data.chunks_mut(self.nx).enumerate() {
+        for (r, row) in data.chunks_mut(self.nx * k).enumerate() {
             groups[(r % self.ny) / span].push(row);
         }
         groups
@@ -356,404 +324,10 @@ impl Level {
     /// chunks dispatched on the pool; each chunk's boundary rows are
     /// snapshotted first (see the module docs — only the non-written color
     /// crosses chunk edges, so the snapshot equals the live values and the
-    /// result is bit-identical to the serial sweep).
+    /// result is bit-identical to the one-chunk sweep). Every column solve
+    /// runs all k interleaved systems.
     #[allow(clippy::too_many_arguments)]
     fn line_sweep(
-        &self,
-        b: &[f64],
-        x: &mut [f64],
-        color: usize,
-        gather: bool,
-        bufs: &mut [Vec<f64>],
-        snap: &mut [f64],
-        lanes: usize,
-    ) {
-        let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-        let plane = ny * nx;
-        let block = nl * nx;
-        let lanes = self.chunk_lanes(lanes);
-        if lanes <= 1 {
-            let mut rows: Vec<&mut [f64]> = x.chunks_mut(nx).collect();
-            self.sweep_chunk(b, color, gather, 0, ny, &mut rows, None, None, &mut bufs[0][..block]);
-            return;
-        }
-        let span = ny.div_ceil(lanes);
-        let nc = ny.div_ceil(span);
-        // Snapshot each chunk's boundary rows while `x` is still shared.
-        if gather {
-            for k in 0..nc {
-                let y0 = k * span;
-                let y1 = (y0 + span).min(ny);
-                if y0 > 0 {
-                    let dst = &mut snap[2 * k * block..][..block];
-                    for l in 0..nl {
-                        let src = l * plane + (y0 - 1) * nx;
-                        dst[l * nx..(l + 1) * nx].copy_from_slice(&x[src..src + nx]);
-                    }
-                }
-                if y1 < ny {
-                    let dst = &mut snap[(2 * k + 1) * block..][..block];
-                    for l in 0..nl {
-                        let src = l * plane + y1 * nx;
-                        dst[l * nx..(l + 1) * nx].copy_from_slice(&x[src..src + nx]);
-                    }
-                }
-            }
-        }
-        let snap: &[f64] = snap;
-        let groups = self.bucket_rows(x, span, nc);
-        // One scatter item per chunk: (chunk index, its rows, its lane buffer).
-        type SweepItem<'a> = (usize, Vec<&'a mut [f64]>, &'a mut [f64]);
-        let items: Vec<SweepItem<'_>> = groups
-            .into_iter()
-            .zip(bufs.iter_mut())
-            .enumerate()
-            .map(|(k, (rows, buf))| (k, rows, &mut buf[..block]))
-            .collect();
-        tesa_util::pool::global().scatter(lanes, items, |_, (k, mut rows, buf)| {
-            let y0 = k * span;
-            let y1 = (y0 + span).min(ny);
-            let prev = (gather && y0 > 0).then(|| &snap[2 * k * block..][..block]);
-            let next = (gather && y1 < ny).then(|| &snap[(2 * k + 1) * block..][..block]);
-            self.sweep_chunk(b, color, gather, y0, y1, &mut rows, prev, next, buf);
-        });
-    }
-
-    /// One chunk of a red-black sweep: the rows `(l, iy)` for `iy` in
-    /// `[y0, y1)`, owned as `&mut` slices indexed `l * (y1-y0) + (iy-y0)`.
-    /// `prev`/`next` are the boundary-row snapshots (`nl * nx`, l-major)
-    /// for the rows just outside the chunk; `None` at the grid edges.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_chunk(
-        &self,
-        b: &[f64],
-        color: usize,
-        gather: bool,
-        y0: usize,
-        y1: usize,
-        rows: &mut [&mut [f64]],
-        prev: Option<&[f64]>,
-        next: Option<&[f64]>,
-        buf: &mut [f64],
-    ) {
-        let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-        let plane = ny * nx;
-        let cny = y1 - y0;
-        for iy in y0..y1 {
-            let liy = iy - y0;
-            let start = (color + iy) % 2;
-            // Column rhs per layer: b plus the lateral couplings.
-            for l in 0..nl {
-                let row = l * plane + iy * nx;
-                let brow = &b[row..row + nx];
-                let bufl = &mut buf[l * nx..(l + 1) * nx];
-                for ix in (start..nx).step_by(2) {
-                    bufl[ix] = brow[ix];
-                }
-                if !gather {
-                    continue;
-                }
-                if nx > 1 {
-                    let xrow: &[f64] = rows[l * cny + liy];
-                    let gxrow = &gx_row(&self.gx, l, iy, nx, ny)[..nx - 1];
-                    for ix in (if start == 0 { 2 } else { start }..nx).step_by(2) {
-                        bufl[ix] += gxrow[ix - 1] * xrow[ix - 1];
-                    }
-                    for ix in (start..nx - 1).step_by(2) {
-                        bufl[ix] += gxrow[ix] * xrow[ix + 1];
-                    }
-                }
-                if iy > 0 {
-                    let gyrow = &self.gy[l * (ny - 1) * nx + (iy - 1) * nx..][..nx];
-                    let xprev: &[f64] = if liy == 0 {
-                        &prev.expect("interior chunk edge carries a snapshot")[l * nx..][..nx]
-                    } else {
-                        rows[l * cny + liy - 1]
-                    };
-                    for ix in (start..nx).step_by(2) {
-                        bufl[ix] += gyrow[ix] * xprev[ix];
-                    }
-                }
-                if iy + 1 < ny {
-                    let gyrow = &self.gy[l * (ny - 1) * nx + iy * nx..][..nx];
-                    let xnext: &[f64] = if liy + 1 == cny {
-                        &next.expect("interior chunk edge carries a snapshot")[l * nx..][..nx]
-                    } else {
-                        rows[l * cny + liy + 1]
-                    };
-                    for ix in (start..nx).step_by(2) {
-                        bufl[ix] += gyrow[ix] * xnext[ix];
-                    }
-                }
-            }
-            // Division-free Thomas forward elimination with the factors
-            // from [`Level::factor_lines`], row-major down the stack.
-            {
-                let invrow = &self.line_inv[iy * nx..][..nx];
-                for ix in (start..nx).step_by(2) {
-                    buf[ix] *= invrow[ix];
-                }
-            }
-            for l in 1..nl {
-                let (prevb, cur) = buf.split_at_mut(l * nx);
-                let prevb = &prevb[(l - 1) * nx..];
-                let cur = &mut cur[..nx];
-                let gzrow = &self.gz[(l - 1) * plane + iy * nx..][..nx];
-                let invrow = &self.line_inv[l * plane + iy * nx..][..nx];
-                for ix in (start..nx).step_by(2) {
-                    cur[ix] = (cur[ix] + gzrow[ix] * prevb[ix]) * invrow[ix];
-                }
-            }
-            // Back substitution, writing the solved columns into the owned
-            // rows (reading the layer above, solved just before).
-            {
-                let bufl = &buf[(nl - 1) * nx..nl * nx];
-                let xrow = &mut rows[(nl - 1) * cny + liy];
-                for ix in (start..nx).step_by(2) {
-                    xrow[ix] = bufl[ix];
-                }
-            }
-            for l in (0..nl.saturating_sub(1)).rev() {
-                let (lo, hi) = rows.split_at_mut((l + 1) * cny);
-                let cur = &mut lo[l * cny + liy];
-                let above: &[f64] = hi[liy];
-                let crow = &self.line_c[l * plane + iy * nx..][..nx];
-                let bufl = &buf[l * nx..(l + 1) * nx];
-                for ix in (start..nx).step_by(2) {
-                    cur[ix] = bufl[ix] - crow[ix] * above[ix];
-                }
-            }
-        }
-    }
-
-    /// Residual `res = b - A x` after a (red, black) pre-smoothing pair.
-    /// The black columns were solved last against final red values, so
-    /// their equations hold exactly and the residual is computed only on
-    /// red columns (`(ix + iy) % 2 == 0`); black entries are set to zero.
-    /// `x` is only read, so the row-chunked parallel path needs no
-    /// snapshots; every output element is computed by the serial
-    /// expression.
-    fn residual_red(&self, b: &[f64], x: &[f64], res: &mut [f64], lanes: usize) {
-        let ny = self.ny;
-        let lanes = self.chunk_lanes(lanes);
-        if lanes <= 1 {
-            let mut rows: Vec<&mut [f64]> = res.chunks_mut(self.nx).collect();
-            self.residual_chunk(b, x, 0, ny, &mut rows);
-            return;
-        }
-        let span = ny.div_ceil(lanes);
-        let nc = ny.div_ceil(span);
-        let groups = self.bucket_rows(res, span, nc);
-        let items: Vec<(usize, Vec<&mut [f64]>)> = groups.into_iter().enumerate().collect();
-        tesa_util::pool::global().scatter(lanes, items, |_, (k, mut rows)| {
-            let y0 = k * span;
-            let y1 = (y0 + span).min(ny);
-            self.residual_chunk(b, x, y0, y1, &mut rows);
-        });
-    }
-
-    /// The rows `(l, iy)` with `iy` in `[y0, y1)` of [`Level::residual_red`],
-    /// written through owned row slices indexed `l * (y1-y0) + (iy-y0)`.
-    fn residual_chunk(
-        &self,
-        b: &[f64],
-        x: &[f64],
-        y0: usize,
-        y1: usize,
-        rows: &mut [&mut [f64]],
-    ) {
-        let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-        let plane = ny * nx;
-        let cny = y1 - y0;
-        for l in 0..nl {
-            for iy in y0..y1 {
-                let start = iy % 2;
-                let row = l * plane + iy * nx;
-                let xrow = &x[row..row + nx];
-                let brow = &b[row..row + nx];
-                let drow = &self.diag[row..row + nx];
-                let rrow = &mut rows[l * cny + (iy - y0)];
-                rrow.fill(0.0);
-                for ix in (start..nx).step_by(2) {
-                    rrow[ix] = brow[ix] - drow[ix] * xrow[ix];
-                }
-                if nx > 1 {
-                    let gxrow = &gx_row(&self.gx, l, iy, nx, ny)[..nx - 1];
-                    for ix in (if start == 0 { 2 } else { start }..nx).step_by(2) {
-                        rrow[ix] += gxrow[ix - 1] * xrow[ix - 1];
-                    }
-                    for ix in (start..nx - 1).step_by(2) {
-                        rrow[ix] += gxrow[ix] * xrow[ix + 1];
-                    }
-                }
-                if iy > 0 {
-                    let gyrow = &self.gy[l * (ny - 1) * nx + (iy - 1) * nx..][..nx];
-                    let xprev = &x[row - nx..row];
-                    for ix in (start..nx).step_by(2) {
-                        rrow[ix] += gyrow[ix] * xprev[ix];
-                    }
-                }
-                if iy + 1 < ny {
-                    let gyrow = &self.gy[l * (ny - 1) * nx + iy * nx..][..nx];
-                    let xnext = &x[row + nx..row + 2 * nx];
-                    for ix in (start..nx).step_by(2) {
-                        rrow[ix] += gyrow[ix] * xnext[ix];
-                    }
-                }
-                if l > 0 {
-                    let gzrow = &self.gz[(l - 1) * plane + iy * nx..][..nx];
-                    let xbelow = &x[row - plane..row - plane + nx];
-                    for ix in (start..nx).step_by(2) {
-                        rrow[ix] += gzrow[ix] * xbelow[ix];
-                    }
-                }
-                if l + 1 < nl {
-                    let gzrow = &self.gz[l * plane + iy * nx..][..nx];
-                    let xabove = &x[row + plane..row + plane + nx];
-                    for ix in (start..nx).step_by(2) {
-                        rrow[ix] += gzrow[ix] * xabove[ix];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restriction `r_c[I] = sum_{i in I} r_f[i]` (transpose of the
-    /// piecewise-constant prolongation). Chunked over *coarse* rows — each
-    /// coarse row aggregates a fixed pair of fine rows in the serial
-    /// summation order, so any chunking is bit-identical.
-    pub(crate) fn restrict_to(
-        &self,
-        coarse: &Level,
-        fine_r: &[f64],
-        coarse_b: &mut [f64],
-        lanes: usize,
-    ) {
-        let lanes = self.chunk_lanes(lanes).min(coarse.ny);
-        if lanes <= 1 {
-            let mut rows: Vec<&mut [f64]> = coarse_b.chunks_mut(coarse.nx).collect();
-            self.restrict_chunk(fine_r, 0, coarse.ny, &mut rows);
-            return;
-        }
-        let span = coarse.ny.div_ceil(lanes);
-        let nc = coarse.ny.div_ceil(span);
-        let groups = coarse.bucket_rows(coarse_b, span, nc);
-        let items: Vec<(usize, Vec<&mut [f64]>)> = groups.into_iter().enumerate().collect();
-        tesa_util::pool::global().scatter(lanes, items, |_, (k, mut rows)| {
-            let cy0 = k * span;
-            let cy1 = (cy0 + span).min(coarse.ny);
-            self.restrict_chunk(fine_r, cy0, cy1, &mut rows);
-        });
-    }
-
-    /// The coarse rows `(l, ciy)` with `ciy` in `[cy0, cy1)` of the
-    /// restriction, written through owned coarse-row slices. Per coarse
-    /// cell the fine contributions are added `iy`-then-`ix` ascending —
-    /// the order of the historical fine-major accumulation loop.
-    fn restrict_chunk(
-        &self,
-        fine_r: &[f64],
-        cy0: usize,
-        cy1: usize,
-        rows: &mut [&mut [f64]],
-    ) {
-        let cny = cy1 - cy0;
-        for l in 0..self.nl {
-            for ciy in cy0..cy1 {
-                let crow = &mut rows[l * cny + (ciy - cy0)];
-                crow.fill(0.0);
-                for iy in (2 * ciy)..(2 * ciy + 2).min(self.ny) {
-                    let frow = &fine_r[self.idx(l, 0, iy)..][..self.nx];
-                    for (cix, dst) in crow.iter_mut().enumerate() {
-                        for &f in &frow[2 * cix..(2 * cix + 2).min(self.nx)] {
-                            *dst += f;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Prolongation: adds the coarse correction, scaled by [`OMEGA`], to
-    /// every covered fine cell. Each fine cell gets exactly one addition,
-    /// so any row chunking is bit-identical.
-    fn prolong_add(
-        &self,
-        coarse: &Level,
-        coarse_x: &[f64],
-        fine_x: &mut [f64],
-        lanes: usize,
-    ) {
-        let lanes = self.chunk_lanes(lanes);
-        if lanes <= 1 {
-            let mut rows: Vec<&mut [f64]> = fine_x.chunks_mut(self.nx).collect();
-            self.prolong_chunk(coarse, coarse_x, 0, self.ny, &mut rows);
-            return;
-        }
-        let span = self.ny.div_ceil(lanes);
-        let nc = self.ny.div_ceil(span);
-        let groups = self.bucket_rows(fine_x, span, nc);
-        let items: Vec<(usize, Vec<&mut [f64]>)> = groups.into_iter().enumerate().collect();
-        tesa_util::pool::global().scatter(lanes, items, |_, (k, mut rows)| {
-            let y0 = k * span;
-            let y1 = (y0 + span).min(self.ny);
-            self.prolong_chunk(coarse, coarse_x, y0, y1, &mut rows);
-        });
-    }
-
-    /// The fine rows `(l, iy)` with `iy` in `[y0, y1)` of the prolongation,
-    /// written through owned fine-row slices.
-    fn prolong_chunk(
-        &self,
-        coarse: &Level,
-        coarse_x: &[f64],
-        y0: usize,
-        y1: usize,
-        rows: &mut [&mut [f64]],
-    ) {
-        let cny = y1 - y0;
-        for l in 0..self.nl {
-            for iy in y0..y1 {
-                let frow = &mut rows[l * cny + (iy - y0)];
-                let crow = &coarse_x[coarse.idx(l, 0, iy / 2)..][..coarse.nx];
-                for (ix, dst) in frow.iter_mut().enumerate() {
-                    *dst += OMEGA * crow[ix / 2];
-                }
-            }
-        }
-    }
-
-    // --- Fused multi-RHS kernels ------------------------------------------
-    //
-    // Interleaved `[node][rhs]` counterparts of the serial V-cycle kernels
-    // above: one pass over the conductance arrays serves all k systems.
-    // Per system the arithmetic sequence (operand order, accumulation
-    // order, row partition) is exactly the serial kernel's, so every
-    // system's output is bit-identical to a serial V-cycle of that system
-    // alone — see the batching notes in `solver.rs`.
-
-    /// [`Level::bucket_rows`] for interleaved fields: rows are `nx * k`
-    /// elements wide.
-    fn bucket_rows_multi<'a>(
-        &self,
-        data: &'a mut [f64],
-        span: usize,
-        nc: usize,
-        k: usize,
-    ) -> Vec<Vec<&'a mut [f64]>> {
-        let mut groups: Vec<Vec<&'a mut [f64]>> =
-            (0..nc).map(|_| Vec::with_capacity(self.nl * span)).collect();
-        for (r, row) in data.chunks_mut(self.nx * k).enumerate() {
-            groups[(r % self.ny) / span].push(row);
-        }
-        groups
-    }
-
-    /// [`Level::line_sweep`] over k interleaved systems: same row
-    /// partition, same boundary-row snapshots, one Thomas pass per column
-    /// solving all systems.
-    #[allow(clippy::too_many_arguments)]
-    fn line_sweep_multi(
         &self,
         b: &[f64],
         x: &mut [f64],
@@ -774,7 +348,7 @@ impl Level {
             let buf = &mut bufs[0][..block];
             dispatch_width!(
                 k,
-                self.sweep_chunk_multi(b, color, gather, 0, ny, &mut rows, None, None, buf, k)
+                self.sweep_chunk(b, color, gather, 0, ny, &mut rows, None, None, buf, k)
             );
             return;
         }
@@ -801,7 +375,7 @@ impl Level {
             }
         }
         let snap: &[f64] = snap;
-        let groups = self.bucket_rows_multi(x, span, nc, k);
+        let groups = self.bucket_rows(x, span, nc, k);
         type SweepItem<'a> = (usize, Vec<&'a mut [f64]>, &'a mut [f64]);
         let items: Vec<SweepItem<'_>> = groups
             .into_iter()
@@ -816,18 +390,21 @@ impl Level {
             let next = (gather && y1 < ny).then(|| &snap[(2 * c + 1) * block..][..block]);
             dispatch_width!(
                 k,
-                self.sweep_chunk_multi(b, color, gather, y0, y1, &mut rows, prev, next, buf, k)
+                self.sweep_chunk(b, color, gather, y0, y1, &mut rows, prev, next, buf, k)
             );
         });
     }
 
-    /// [`Level::sweep_chunk`] over k interleaved systems. Rows (and the
-    /// `prev`/`next` snapshots, and `buf`) are `k` times as wide; every
-    /// scalar operation of the serial chunk becomes a k-wide inner loop in
-    /// the identical order. `KW` (via [`dispatch_width!`]) makes the width
-    /// a compile-time constant so those inner loops unroll and vectorize.
+    /// One chunk of a red-black sweep: the rows `(l, iy)` for `iy` in
+    /// `[y0, y1)`, owned as `&mut` slices indexed `l * (y1-y0) + (iy-y0)`.
+    /// `prev`/`next` are the boundary-row snapshots (`nl * nx * k`,
+    /// l-major) for the rows just outside the chunk; `None` at the grid
+    /// edges. Rows, snapshots and `buf` hold k interleaved systems; every
+    /// scalar operation of a one-system sweep is a k-wide inner loop in the
+    /// identical order, and `KW` (via [`dispatch_width!`]) makes the width a
+    /// compile-time constant so those inner loops unroll and vectorize.
     #[allow(clippy::too_many_arguments)]
-    fn sweep_chunk_multi<const KW: usize>(
+    fn sweep_chunk<const KW: usize>(
         &self,
         b: &[f64],
         color: usize,
@@ -848,12 +425,15 @@ impl Level {
         for iy in y0..y1 {
             let liy = iy - y0;
             let start = (color + iy) % 2;
+            // Column rhs per layer: b plus the lateral couplings.
             for l in 0..nl {
                 let row = (l * plane + iy * nx) * k;
                 let brow = &b[row..row + w];
                 let bufl = &mut buf[l * w..(l + 1) * w];
                 for ix in (start..nx).step_by(2) {
-                    bufl[ix * k..(ix + 1) * k].copy_from_slice(&brow[ix * k..(ix + 1) * k]);
+                    for s in 0..k {
+                        bufl[ix * k + s] = brow[ix * k + s];
+                    }
                 }
                 if !gather {
                     continue;
@@ -903,6 +483,8 @@ impl Level {
                     }
                 }
             }
+            // Division-free Thomas forward elimination with the factors
+            // from [`Level::factor_lines`], row-major down the stack.
             {
                 let invrow = &self.line_inv[iy * nx..][..nx];
                 for ix in (start..nx).step_by(2) {
@@ -925,11 +507,15 @@ impl Level {
                     }
                 }
             }
+            // Back substitution, writing the solved columns into the owned
+            // rows (reading the layer above, solved just before).
             {
                 let bufl = &buf[(nl - 1) * w..nl * w];
                 let xrow = &mut rows[(nl - 1) * cny + liy];
                 for ix in (start..nx).step_by(2) {
-                    xrow[ix * k..(ix + 1) * k].copy_from_slice(&bufl[ix * k..(ix + 1) * k]);
+                    for s in 0..k {
+                        xrow[ix * k + s] = bufl[ix * k + s];
+                    }
                 }
             }
             for l in (0..nl.saturating_sub(1)).rev() {
@@ -948,28 +534,35 @@ impl Level {
         }
     }
 
-    /// [`Level::residual_red`] over k interleaved systems.
-    fn residual_red_multi(&self, b: &[f64], x: &[f64], res: &mut [f64], lanes: usize, k: usize) {
+    /// Residual `res = b - A x` after a (red, black) pre-smoothing pair.
+    /// The black columns were solved last against final red values, so
+    /// their equations hold exactly and the residual is computed only on
+    /// red columns (`(ix + iy) % 2 == 0`); black entries are set to zero.
+    /// `x` is only read, so the row-chunked parallel path needs no
+    /// snapshots; every output element is computed by the one-chunk
+    /// expression.
+    fn residual_red(&self, b: &[f64], x: &[f64], res: &mut [f64], lanes: usize, k: usize) {
         let ny = self.ny;
         let lanes = self.chunk_lanes(lanes);
         if lanes <= 1 {
             let mut rows: Vec<&mut [f64]> = res.chunks_mut(self.nx * k).collect();
-            dispatch_width!(k, self.residual_chunk_multi(b, x, 0, ny, &mut rows, k));
+            dispatch_width!(k, self.residual_chunk(b, x, 0, ny, &mut rows, k));
             return;
         }
         let span = ny.div_ceil(lanes);
         let nc = ny.div_ceil(span);
-        let groups = self.bucket_rows_multi(res, span, nc, k);
+        let groups = self.bucket_rows(res, span, nc, k);
         let items: Vec<(usize, Vec<&mut [f64]>)> = groups.into_iter().enumerate().collect();
         tesa_util::pool::global().scatter(lanes, items, |_, (c, mut rows)| {
             let y0 = c * span;
             let y1 = (y0 + span).min(ny);
-            dispatch_width!(k, self.residual_chunk_multi(b, x, y0, y1, &mut rows, k));
+            dispatch_width!(k, self.residual_chunk(b, x, y0, y1, &mut rows, k));
         });
     }
 
-    /// [`Level::residual_chunk`] over k interleaved systems.
-    fn residual_chunk_multi<const KW: usize>(
+    /// The rows `(l, iy)` with `iy` in `[y0, y1)` of [`Level::residual_red`],
+    /// written through owned row slices indexed `l * (y1-y0) + (iy-y0)`.
+    fn residual_chunk<const KW: usize>(
         &self,
         b: &[f64],
         x: &[f64],
@@ -1057,8 +650,11 @@ impl Level {
         }
     }
 
-    /// [`Level::restrict_to`] over k interleaved systems.
-    pub(crate) fn restrict_to_multi(
+    /// Restriction `r_c[I] = sum_{i in I} r_f[i]` (transpose of the
+    /// piecewise-constant prolongation). Chunked over *coarse* rows — each
+    /// coarse row aggregates a fixed pair of fine rows in a fixed
+    /// summation order, so any chunking is bit-identical.
+    pub(crate) fn restrict_to(
         &self,
         coarse: &Level,
         fine_r: &[f64],
@@ -1069,24 +665,26 @@ impl Level {
         let lanes = self.chunk_lanes(lanes).min(coarse.ny);
         if lanes <= 1 {
             let mut rows: Vec<&mut [f64]> = coarse_b.chunks_mut(coarse.nx * k).collect();
-            dispatch_width!(k, self.restrict_chunk_multi(fine_r, 0, coarse.ny, &mut rows, k));
+            dispatch_width!(k, self.restrict_chunk(fine_r, 0, coarse.ny, &mut rows, k));
             return;
         }
         let span = coarse.ny.div_ceil(lanes);
         let nc = coarse.ny.div_ceil(span);
-        let groups = coarse.bucket_rows_multi(coarse_b, span, nc, k);
+        let groups = coarse.bucket_rows(coarse_b, span, nc, k);
         let items: Vec<(usize, Vec<&mut [f64]>)> = groups.into_iter().enumerate().collect();
         tesa_util::pool::global().scatter(lanes, items, |_, (c, mut rows)| {
             let cy0 = c * span;
             let cy1 = (cy0 + span).min(coarse.ny);
-            dispatch_width!(k, self.restrict_chunk_multi(fine_r, cy0, cy1, &mut rows, k));
+            dispatch_width!(k, self.restrict_chunk(fine_r, cy0, cy1, &mut rows, k));
         });
     }
 
-    /// [`Level::restrict_chunk`] over k interleaved systems: per coarse
-    /// cell and system, fine contributions accumulate `iy`-then-`ix`
-    /// ascending exactly as the serial chunk does.
-    fn restrict_chunk_multi<const KW: usize>(
+    /// The coarse rows `(l, ciy)` with `ciy` in `[cy0, cy1)` of the
+    /// restriction, written through owned coarse-row slices. Per coarse
+    /// cell and system the fine contributions are added `iy`-then-`ix`
+    /// ascending — the order of the historical fine-major accumulation
+    /// loop.
+    fn restrict_chunk<const KW: usize>(
         &self,
         fine_r: &[f64],
         cy0: usize,
@@ -1100,13 +698,13 @@ impl Level {
             for ciy in cy0..cy1 {
                 let crow = &mut rows[l * cny + (ciy - cy0)];
                 crow.fill(0.0);
-                let nxc = crow.len() / k;
                 for iy in (2 * ciy)..(2 * ciy + 2).min(self.ny) {
                     let frow = &fine_r[self.idx(l, 0, iy) * k..][..self.nx * k];
-                    for cix in 0..nxc {
-                        for fx in 2 * cix..(2 * cix + 2).min(self.nx) {
+                    // Coarse cell `cix` aggregates fine cells `2cix, 2cix+1`.
+                    for (dst, pair) in crow.chunks_exact_mut(k).zip(frow.chunks(2 * k)) {
+                        for fv in pair.chunks_exact(k) {
                             for s in 0..k {
-                                crow[cix * k + s] += frow[fx * k + s];
+                                dst[s] += fv[s];
                             }
                         }
                     }
@@ -1115,8 +713,10 @@ impl Level {
         }
     }
 
-    /// [`Level::prolong_add`] over k interleaved systems.
-    fn prolong_add_multi(
+    /// Prolongation: adds the coarse correction, scaled by [`OMEGA`], to
+    /// every covered fine cell. Each fine cell gets exactly one addition,
+    /// so any row chunking is bit-identical.
+    fn prolong_add(
         &self,
         coarse: &Level,
         coarse_x: &[f64],
@@ -1127,22 +727,23 @@ impl Level {
         let lanes = self.chunk_lanes(lanes);
         if lanes <= 1 {
             let mut rows: Vec<&mut [f64]> = fine_x.chunks_mut(self.nx * k).collect();
-            dispatch_width!(k, self.prolong_chunk_multi(coarse, coarse_x, 0, self.ny, &mut rows, k));
+            dispatch_width!(k, self.prolong_chunk(coarse, coarse_x, 0, self.ny, &mut rows, k));
             return;
         }
         let span = self.ny.div_ceil(lanes);
         let nc = self.ny.div_ceil(span);
-        let groups = self.bucket_rows_multi(fine_x, span, nc, k);
+        let groups = self.bucket_rows(fine_x, span, nc, k);
         let items: Vec<(usize, Vec<&mut [f64]>)> = groups.into_iter().enumerate().collect();
         tesa_util::pool::global().scatter(lanes, items, |_, (c, mut rows)| {
             let y0 = c * span;
             let y1 = (y0 + span).min(self.ny);
-            dispatch_width!(k, self.prolong_chunk_multi(coarse, coarse_x, y0, y1, &mut rows, k));
+            dispatch_width!(k, self.prolong_chunk(coarse, coarse_x, y0, y1, &mut rows, k));
         });
     }
 
-    /// [`Level::prolong_chunk`] over k interleaved systems.
-    fn prolong_chunk_multi<const KW: usize>(
+    /// The fine rows `(l, iy)` with `iy` in `[y0, y1)` of the prolongation,
+    /// written through owned fine-row slices.
+    fn prolong_chunk<const KW: usize>(
         &self,
         coarse: &Level,
         coarse_x: &[f64],
@@ -1157,10 +758,10 @@ impl Level {
             for iy in y0..y1 {
                 let frow = &mut rows[l * cny + (iy - y0)];
                 let crow = &coarse_x[coarse.idx(l, 0, iy / 2) * k..][..coarse.nx * k];
-                for ix in 0..self.nx {
-                    let cbase = (ix / 2) * k;
+                for (ix, dst) in frow.chunks_exact_mut(k).enumerate() {
+                    let c = (ix / 2) * k;
                     for s in 0..k {
-                        frow[ix * k + s] += OMEGA * crow[cbase + s];
+                        dst[s] += OMEGA * crow[c + s];
                     }
                 }
             }
@@ -1228,22 +829,25 @@ fn cholesky(mut a: Vec<f64>, n: usize) -> Vec<f64> {
     a
 }
 
-/// Solves `L L^T x = b` given the lower factor.
-fn cholesky_solve(chol: &[f64], n: usize, b: &[f64], x: &mut [f64]) {
-    x.copy_from_slice(b);
+/// Solves `L L^T x = b` given the lower factor, for system `s` of `k`
+/// interleaved `[node][rhs]` ones.
+fn cholesky_solve(chol: &[f64], n: usize, b: &[f64], x: &mut [f64], k: usize, s: usize) {
     for i in 0..n {
-        let mut s = x[i];
-        for k in 0..i {
-            s -= chol[i * n + k] * x[k];
+        x[i * k + s] = b[i * k + s];
+    }
+    for i in 0..n {
+        let mut acc = x[i * k + s];
+        for j in 0..i {
+            acc -= chol[i * n + j] * x[j * k + s];
         }
-        x[i] = s / chol[i * n + i];
+        x[i * k + s] = acc / chol[i * n + i];
     }
     for i in (0..n).rev() {
-        let mut s = x[i];
-        for k in i + 1..n {
-            s -= chol[k * n + i] * x[k];
+        let mut acc = x[i * k + s];
+        for j in i + 1..n {
+            acc -= chol[j * n + i] * x[j * k + s];
         }
-        x[i] = s / chol[i * n + i];
+        x[i * k + s] = acc / chol[i * n + i];
     }
 }
 
@@ -1287,13 +891,20 @@ impl Multigrid {
         &self.levels[li]
     }
 
-    /// Applies the V-cycle preconditioner: `z ~= A^{-1} r`, starting from a
-    /// zero initial guess. Symmetric by construction (red-black pre-sweep,
-    /// black-red post-sweep) so it is a valid SPD preconditioner for CG.
-    /// `lanes` caps the pool lanes of the chunked kernels; the result is
-    /// bit-identical for every value.
-    pub(crate) fn vcycle(&self, r: &[f64], z: &mut [f64], scratch: &mut MgScratch, lanes: usize) {
-        self.vcycle_from(0, r, z, scratch, lanes);
+    /// Applies the V-cycle preconditioner to k interleaved systems:
+    /// `z ~= A^{-1} r`, starting from a zero initial guess. Symmetric by
+    /// construction (red-black pre-sweep, black-red post-sweep) so it is a
+    /// valid SPD preconditioner for CG. `lanes` caps the pool lanes of the
+    /// chunked kernels; the result is bit-identical for every value.
+    pub(crate) fn vcycle(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        scratch: &mut MgScratch,
+        lanes: usize,
+        k: usize,
+    ) {
+        self.vcycle_from(0, r, z, scratch, lanes, k);
     }
 
     /// The V-cycle restricted to the sub-hierarchy rooted at level `start`:
@@ -1301,7 +912,10 @@ impl Multigrid {
     /// sized to that level. `start == 0` is the full preconditioner; the
     /// thermal surrogate uses `start >= 1` to solve coarse systems in their
     /// own right. Symmetric for any `start`, so it remains a valid CG
-    /// preconditioner on the coarse system.
+    /// preconditioner on the coarse system. Every leg (smoother, residual,
+    /// restriction, coarse direct solve, prolongation) streams the level's
+    /// conductance arrays once for all k systems; the coarsest level runs
+    /// each system's Cholesky solve on its strided lane.
     pub(crate) fn vcycle_from(
         &self,
         start: usize,
@@ -1309,112 +923,47 @@ impl Multigrid {
         z: &mut [f64],
         scratch: &mut MgScratch,
         lanes: usize,
-    ) {
-        let lanes = lanes.max(1);
-        scratch.ensure(self, lanes);
-        let depth = self.levels.len();
-        scratch.rhs[start].copy_from_slice(r);
-        // Downward leg: smooth, compute residual, restrict.
-        for li in start..depth - 1 {
-            let level = &self.levels[li];
-            let coarse = &self.levels[li + 1];
-            let x = &mut scratch.x[li];
-            let b = &scratch.rhs[li];
-            // Pre-smooth from a zero iterate: the red sweep needs no
-            // lateral gather (and no explicit zeroing of x — the pair
-            // writes every entry before any is read).
-            level.line_sweep(b, x, 0, false, &mut scratch.bufs, &mut scratch.snap, lanes);
-            level.line_sweep(b, x, 1, true, &mut scratch.bufs, &mut scratch.snap, lanes);
-            // The black columns were solved last, so b - A x vanishes there
-            // and only the red half needs computing.
-            level.residual_red(b, x, &mut scratch.r[li], lanes);
-            level.restrict_to(coarse, &scratch.r[li], &mut scratch.rhs[li + 1], lanes);
-        }
-        // Coarsest level: direct solve.
-        let coarsest = depth - 1;
-        let n_c = self.levels[coarsest].n();
-        cholesky_solve(&self.chol, n_c, &scratch.rhs[coarsest], &mut scratch.x[coarsest]);
-        // Upward leg: prolong, post-smooth in reversed color order.
-        for li in (start..depth - 1).rev() {
-            let level = &self.levels[li];
-            let coarse = &self.levels[li + 1];
-            let (head, tail) = scratch.x.split_at_mut(li + 1);
-            let x = &mut head[li];
-            level.prolong_add(coarse, &tail[0], x, lanes);
-            let b = &scratch.rhs[li];
-            level.line_sweep(b, x, 1, true, &mut scratch.bufs, &mut scratch.snap, lanes);
-            level.line_sweep(b, x, 0, true, &mut scratch.bufs, &mut scratch.snap, lanes);
-        }
-        z.copy_from_slice(&scratch.x[start]);
-    }
-
-    /// [`Multigrid::vcycle`] over k interleaved systems (see
-    /// [`Multigrid::vcycle_from_multi`]).
-    pub(crate) fn vcycle_multi(
-        &self,
-        r: &[f64],
-        z: &mut [f64],
-        scratch: &mut MgScratchMulti,
-        lanes: usize,
-        k: usize,
-    ) {
-        self.vcycle_from_multi(0, r, z, scratch, lanes, k);
-    }
-
-    /// [`Multigrid::vcycle_from`] over k interleaved `[node][rhs]` systems:
-    /// every leg (smoother, residual, restriction, coarse direct solve,
-    /// prolongation) streams the level's conductance arrays once for all
-    /// systems. The coarsest level gathers each system's strided rhs and
-    /// runs the identical per-system Cholesky solve, so the whole cycle is
-    /// bit-identical per system to [`Multigrid::vcycle_from`].
-    pub(crate) fn vcycle_from_multi(
-        &self,
-        start: usize,
-        r: &[f64],
-        z: &mut [f64],
-        scratch: &mut MgScratchMulti,
-        lanes: usize,
         k: usize,
     ) {
         let lanes = lanes.max(1);
         scratch.ensure(self, lanes, k);
-        let MgScratchMulti { rhs, x, r: res, bufs, snap, cb, cx, .. } = scratch;
+        let MgScratch { rhs, x, r: res, bufs, snap, .. } = scratch;
         let depth = self.levels.len();
         let nk = |li: usize| self.levels[li].n() * k;
         rhs[start][..nk(start)].copy_from_slice(r);
+        // Downward leg: smooth, compute residual, restrict.
         for li in start..depth - 1 {
             let level = &self.levels[li];
             let coarse = &self.levels[li + 1];
             let xl = &mut x[li][..nk(li)];
             let b = &rhs[li][..nk(li)];
-            level.line_sweep_multi(b, xl, 0, false, bufs, snap, lanes, k);
-            level.line_sweep_multi(b, xl, 1, true, bufs, snap, lanes, k);
-            level.residual_red_multi(b, xl, &mut res[li][..nk(li)], lanes, k);
+            // Pre-smooth from a zero iterate: the red sweep needs no
+            // lateral gather (and no explicit zeroing of x — the pair
+            // writes every entry before any is read).
+            level.line_sweep(b, xl, 0, false, bufs, snap, lanes, k);
+            level.line_sweep(b, xl, 1, true, bufs, snap, lanes, k);
+            // The black columns were solved last, so b - A x vanishes there
+            // and only the red half needs computing.
+            level.residual_red(b, xl, &mut res[li][..nk(li)], lanes, k);
             let (_, rtail) = rhs.split_at_mut(li + 1);
-            level.restrict_to_multi(coarse, &res[li][..nk(li)], &mut rtail[0][..nk(li + 1)], lanes, k);
+            level.restrict_to(coarse, &res[li][..nk(li)], &mut rtail[0][..nk(li + 1)], lanes, k);
         }
+        // Coarsest level: direct solve.
         let coarsest = depth - 1;
         let n_c = self.levels[coarsest].n();
-        let rhs_c = &rhs[coarsest][..n_c * k];
-        let x_c = &mut x[coarsest][..n_c * k];
         for s in 0..k {
-            for i in 0..n_c {
-                cb[i] = rhs_c[i * k + s];
-            }
-            cholesky_solve(&self.chol, n_c, cb, cx);
-            for i in 0..n_c {
-                x_c[i * k + s] = cx[i];
-            }
+            cholesky_solve(&self.chol, n_c, &rhs[coarsest], &mut x[coarsest], k, s);
         }
+        // Upward leg: prolong, post-smooth in reversed color order.
         for li in (start..depth - 1).rev() {
             let level = &self.levels[li];
             let coarse = &self.levels[li + 1];
             let (head, tail) = x.split_at_mut(li + 1);
             let xl = &mut head[li][..nk(li)];
-            level.prolong_add_multi(coarse, &tail[0][..nk(li + 1)], xl, lanes, k);
+            level.prolong_add(coarse, &tail[0][..nk(li + 1)], xl, lanes, k);
             let b = &rhs[li][..nk(li)];
-            level.line_sweep_multi(b, xl, 1, true, bufs, snap, lanes, k);
-            level.line_sweep_multi(b, xl, 0, true, bufs, snap, lanes, k);
+            level.line_sweep(b, xl, 1, true, bufs, snap, lanes, k);
+            level.line_sweep(b, xl, 0, true, bufs, snap, lanes, k);
         }
         z.copy_from_slice(&x[start][..nk(start)]);
     }
@@ -1471,13 +1020,13 @@ mod tests {
         let fine = uniform_level(8, 6, 3);
         let ones = vec![1.0; fine.n()];
         let mut row_sums = vec![0.0; fine.n()];
-        fine.apply(&ones, &mut row_sums, 1);
+        fine.apply(&ones, &mut row_sums, 1, 1);
         let fine_total: f64 = row_sums.iter().sum();
 
         let coarse = fine.coarsen();
         let ones_c = vec![1.0; coarse.n()];
         let mut row_sums_c = vec![0.0; coarse.n()];
-        coarse.apply(&ones_c, &mut row_sums_c, 1);
+        coarse.apply(&ones_c, &mut row_sums_c, 1, 1);
         let coarse_total: f64 = row_sums_c.iter().sum();
         assert!(
             (fine_total - coarse_total).abs() < 1e-9 * fine_total.abs().max(1.0),
@@ -1497,7 +1046,7 @@ mod tests {
         // A = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11].
         let chol = cholesky(vec![4.0, 1.0, 1.0, 3.0], 2);
         let mut x = vec![0.0; 2];
-        cholesky_solve(&chol, 2, &[1.0, 2.0], &mut x);
+        cholesky_solve(&chol, 2, &[1.0, 2.0], &mut x, 1, 0);
         assert!((x[0] - 1.0 / 11.0).abs() < 1e-12);
         assert!((x[1] - 7.0 / 11.0).abs() < 1e-12);
     }
@@ -1531,8 +1080,8 @@ mod tests {
         let mut scratch = MgScratch::default();
         let mut mu = vec![0.0; n];
         let mut mv = vec![0.0; n];
-        mg.vcycle(&u, &mut mu, &mut scratch, 1);
-        mg.vcycle(&v, &mut mv, &mut scratch, 1);
+        mg.vcycle(&u, &mut mu, &mut scratch, 1, 1);
+        mg.vcycle(&v, &mut mv, &mut scratch, 1, 1);
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
         let (muv, umv) = (dot(&mu, &v), dot(&u, &mv));
         assert!(
@@ -1552,19 +1101,19 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
         let mut x = vec![0.0; n];
         let mut scratch = MgScratch::default();
-        mg.vcycle(&b, &mut x, &mut scratch, 1);
+        mg.vcycle(&b, &mut x, &mut scratch, 1, 1);
         let mut ax = vec![0.0; n];
-        fine.apply(&x, &mut ax, 1);
+        fine.apply(&x, &mut ax, 1, 1);
         for (a, bb) in ax.iter().zip(&b) {
             assert!((a - bb).abs() < 1e-9, "direct solve residual too large");
         }
     }
 
-    /// Each system of a multi-RHS V-cycle must reproduce the serial
+    /// Each system of a multi-RHS V-cycle must reproduce the single-system
     /// V-cycle of that system bit for bit, for any lane count — including
     /// widths that shrink between calls (retirement reuses the scratch).
     #[test]
-    fn vcycle_multi_matches_serial_per_system() {
+    fn vcycle_multi_matches_single_system_per_system() {
         let fine = uniform_level(64, 64, 2);
         let mg = Multigrid::build(64, 64, 2, &fine.gx, &fine.gy, &fine.gz, &fine.diag);
         let n = fine.n();
@@ -1572,14 +1121,14 @@ mod tests {
         let rs: Vec<Vec<f64>> = (0..k)
             .map(|s| (0..n).map(|i| ((i * 37 + s * 11) % 101) as f64 / 101.0 - 0.5).collect())
             .collect();
-        let mut serial = Vec::new();
+        let mut single = Vec::new();
         let mut s1 = MgScratch::default();
         for r in &rs {
             let mut z = vec![0.0; n];
-            mg.vcycle(r, &mut z, &mut s1, 1);
-            serial.push(z);
+            mg.vcycle(r, &mut z, &mut s1, 1, 1);
+            single.push(z);
         }
-        let mut ms = MgScratchMulti::default();
+        let mut ms = MgScratch::default();
         for lanes in [1, 2, 8] {
             let mut r = vec![0.0; n * k];
             for i in 0..n {
@@ -1588,20 +1137,20 @@ mod tests {
                 }
             }
             let mut z = vec![0.0; n * k];
-            mg.vcycle_multi(&r, &mut z, &mut ms, lanes, k);
+            mg.vcycle(&r, &mut z, &mut ms, lanes, k);
             for s in 0..k {
                 for i in 0..n {
                     assert_eq!(
                         z[i * k + s].to_bits(),
-                        serial[s][i].to_bits(),
+                        single[s][i].to_bits(),
                         "z[{i}] differs for system {s} at lanes={lanes}"
                     );
                 }
             }
             // Shrunk width through the same scratch (mid-solve retirement).
             let mut z1 = vec![0.0; n];
-            mg.vcycle_multi(&rs[1], &mut z1, &mut ms, lanes, 1);
-            assert!(z1.iter().zip(&serial[1]).all(|(a, b)| a.to_bits() == b.to_bits()));
+            mg.vcycle(&rs[1], &mut z1, &mut ms, lanes, 1);
+            assert!(z1.iter().zip(&single[1]).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 
@@ -1619,11 +1168,11 @@ mod tests {
         let r: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 / 101.0 - 0.5).collect();
         let mut z1 = vec![0.0; n];
         let mut s1 = MgScratch::default();
-        mg.vcycle(&r, &mut z1, &mut s1, 1);
+        mg.vcycle(&r, &mut z1, &mut s1, 1, 1);
         for lanes in [2, 3, 8] {
             let mut z = vec![0.0; n];
             let mut s = MgScratch::default();
-            mg.vcycle(&r, &mut z, &mut s, lanes);
+            mg.vcycle(&r, &mut z, &mut s, lanes, 1);
             assert!(
                 z.iter().zip(&z1).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "V-cycle output differs at lanes={lanes}"

@@ -1,23 +1,43 @@
-//! Preconditioned conjugate gradient for the SPD conductance system.
+//! Preconditioned conjugate gradient for the SPD conductance system, over
+//! one or more right-hand sides.
+//!
+//! [`preconditioned_cg`] advances k *independent* CG recurrences in
+//! lockstep — per-system alpha/beta/residual, NOT block CG — sharing one
+//! operator sweep and one preconditioner application per iteration. Vectors
+//! are interleaved `[node][rhs]` (element (i, s) lives at `i * k + s`), so
+//! one pass over the coefficient arrays serves every active right-hand
+//! side. A single solve is the k = 1 call of the same engine.
 //!
 //! The preconditioner is a closure `z = M^{-1} r`, so the same loop serves
-//! both the Jacobi (diagonal) fallback and the multigrid V-cycle used on
-//! production-size grids. All per-solve vectors live in a caller-owned
+//! both the Jacobi (diagonal) preconditioner and the multigrid V-cycle used
+//! on production-size grids. All per-solve vectors live in a caller-owned
 //! [`CgScratch`] so hot loops (leakage co-iteration, annealing sweeps) do
 //! not allocate per solve.
+//!
+//! # Retirement
+//!
+//! A system retires the iteration it converges (or exhausts its own
+//! iteration cap). Its final iterate is left in the caller's buffer and
+//! the working vectors are compacted to the surviving width, so every
+//! right-hand side performs the arithmetic sequence of a solve of that
+//! system alone. Retirement is pure data movement (no float ops), so
+//! compaction cannot perturb survivors. The iterates live in the caller's
+//! buffer until the first retirement that leaves survivors, so a
+//! single-system solve never copies its iterate.
 //!
 //! # Parallel reductions, deterministically
 //!
 //! On systems of at least [`REDUCE_MIN`] unknowns the dot products and the
 //! fused `x`/`r`/`‖r‖²` update run on the persistent
-//! [`tesa_util::pool`] with **fixed-chunk partial sums**: the vector is cut
-//! at multiples of [`REDUCE_CHUNK`] (a pure function of `n`, never of the
-//! lane count), each chunk's partial is computed with the historical
-//! serial loop, and the partials are added in chunk order. Any
-//! `TESA_THREADS` — including 1 — therefore produces bit-identical
-//! results. Below `REDUCE_MIN` (which covers the golden-pinned 32-cell
-//! grids) the historical single-accumulator path runs unchanged, so small
-//! systems are bit-exact with every previous release.
+//! [`tesa_util::pool`] with **fixed-chunk partial sums**: each system's
+//! vector is cut at multiples of [`REDUCE_CHUNK`] nodes (a pure function of
+//! `n`, never of the lane count or the batch width), each chunk's partial
+//! is accumulated in node order, and the partials are added in chunk order.
+//! Any `TESA_THREADS` — including 1 — and any batch width therefore produce
+//! bit-identical results. Below `REDUCE_MIN` (which covers the
+//! golden-pinned 32-cell grids) each system keeps the single-accumulator
+//! node-order reduction, so small systems are bit-exact with every
+//! previous release.
 
 /// Convergence criteria for the CG solve.
 #[derive(Debug, Clone, Copy)]
@@ -53,28 +73,6 @@ impl CgOutcome {
     }
 }
 
-/// Reusable per-solve work vectors (residual, preconditioned residual,
-/// search direction, `A p`, reduction partials).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct CgScratch {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-    partials: Vec<f64>,
-}
-
-impl CgScratch {
-    fn ensure(&mut self, n: usize) {
-        if self.r.len() != n {
-            self.r = vec![0.0; n];
-            self.z = vec![0.0; n];
-            self.p = vec![0.0; n];
-            self.ap = vec![0.0; n];
-        }
-    }
-}
-
 /// Fixed reduction chunk length. Chunk boundaries are multiples of this,
 /// i.e. a pure function of the vector length — never of the lane count —
 /// which is what makes the parallel reductions bit-identical for any
@@ -87,200 +85,6 @@ pub(crate) const REDUCE_CHUNK: usize = 4096;
 /// their fields are unchanged to the last bit; production 64-cell grids
 /// (≥ 16384 unknowns) take the chunked path.
 pub(crate) const REDUCE_MIN: usize = 2 * REDUCE_CHUNK;
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Deterministically chunked dot product: serial below [`REDUCE_MIN`],
-/// fixed-chunk partials (parallel across up to `lanes` pool lanes, summed
-/// in chunk order) at or above it.
-fn dot_det(a: &[f64], b: &[f64], partials: &mut Vec<f64>, lanes: usize) -> f64 {
-    let n = a.len();
-    if n < REDUCE_MIN {
-        return dot(a, b);
-    }
-    let nchunks = n.div_ceil(REDUCE_CHUNK);
-    partials.clear();
-    partials.resize(nchunks, 0.0);
-    let slots: Vec<&mut f64> = partials.iter_mut().collect();
-    tesa_util::pool::global().scatter(lanes, slots, |c, slot| {
-        let lo = c * REDUCE_CHUNK;
-        let hi = (lo + REDUCE_CHUNK).min(n);
-        *slot = dot(&a[lo..hi], &b[lo..hi]);
-    });
-    partials.iter().sum()
-}
-
-/// Splits `v` into `REDUCE_CHUNK`-sized `&mut` sub-slices (last one may be
-/// short). Chunk `c` covers indices `[c * REDUCE_CHUNK, ...)`.
-fn chunks_mut(v: &mut [f64]) -> Vec<&mut [f64]> {
-    let n = v.len();
-    let mut rest = v;
-    let mut out = Vec::with_capacity(n.div_ceil(REDUCE_CHUNK));
-    while !rest.is_empty() {
-        let take = REDUCE_CHUNK.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
-        out.push(head);
-        rest = tail;
-    }
-    out
-}
-
-/// Fused CG update: `x += alpha p; r -= alpha ap;` returning the new
-/// `||r||^2` — serial below [`REDUCE_MIN`], fixed-chunk parallel (partials
-/// summed in chunk order) at or above it.
-#[allow(clippy::too_many_arguments)]
-fn fused_update_det(
-    x: &mut [f64],
-    r: &mut [f64],
-    p: &[f64],
-    ap: &[f64],
-    alpha: f64,
-    partials: &mut Vec<f64>,
-    lanes: usize,
-) -> f64 {
-    let n = x.len();
-    if n < REDUCE_MIN {
-        let mut r_norm2 = 0.0;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-            r_norm2 += r[i] * r[i];
-        }
-        return r_norm2;
-    }
-    let nchunks = n.div_ceil(REDUCE_CHUNK);
-    partials.clear();
-    partials.resize(nchunks, 0.0);
-    let items: Vec<(usize, &mut f64, &mut [f64], &mut [f64])> = partials
-        .iter_mut()
-        .zip(chunks_mut(x))
-        .zip(chunks_mut(r))
-        .enumerate()
-        .map(|(c, ((slot, xc), rc))| (c, slot, xc, rc))
-        .collect();
-    tesa_util::pool::global().scatter(lanes, items, |_, (c, slot, xc, rc)| {
-        let lo = c * REDUCE_CHUNK;
-        let pc = &p[lo..lo + xc.len()];
-        let apc = &ap[lo..lo + xc.len()];
-        let mut part = 0.0;
-        for i in 0..xc.len() {
-            xc[i] += alpha * pc[i];
-            rc[i] -= alpha * apc[i];
-            part += rc[i] * rc[i];
-        }
-        *slot = part;
-    });
-    partials.iter().sum()
-}
-
-/// Direction update `p = z + beta p`. Each element is independent, so any
-/// chunking is bit-identical; parallel above [`REDUCE_MIN`].
-fn beta_update(p: &mut [f64], z: &[f64], beta: f64, lanes: usize) {
-    let n = p.len();
-    if n < REDUCE_MIN {
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-        return;
-    }
-    let items: Vec<(usize, &mut [f64])> = chunks_mut(p).into_iter().enumerate().collect();
-    tesa_util::pool::global().scatter(lanes, items, |_, (c, pc)| {
-        let lo = c * REDUCE_CHUNK;
-        let zc = &z[lo..lo + pc.len()];
-        for i in 0..pc.len() {
-            pc[i] = zc[i] + beta * pc[i];
-        }
-    });
-}
-
-/// Solves `A x = b` for SPD `A` given as a mat-vec closure, preconditioned
-/// by the `precond` closure (`z = M^{-1} r`). `x` holds the initial guess
-/// on entry and the solution on exit. `lanes` caps how many pool lanes the
-/// solver's own reductions may use (the mat-vec and preconditioner closures
-/// manage their own parallelism); pass 1 to force the serial paths.
-///
-/// The residual 2-norm used for the stopping test is accumulated inside
-/// the `x`/`r` update loop — there is no separate O(n) norm pass per
-/// iteration — and the stopping criterion is unchanged:
-/// `||r|| <= rel * ||b||`, checked before the first iteration and after
-/// every update.
-pub(crate) fn preconditioned_cg<A, M>(
-    apply: A,
-    mut precond: M,
-    b: &[f64],
-    x: &mut [f64],
-    tol: Tolerance,
-    scratch: &mut CgScratch,
-    lanes: usize,
-) -> CgOutcome
-where
-    A: Fn(&[f64], &mut [f64]),
-    M: FnMut(&[f64], &mut [f64]),
-{
-    let n = b.len();
-    scratch.ensure(n);
-    let CgScratch { r, z, p, ap, partials } = scratch;
-
-    apply(x, r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    let b_norm = dot_det(b, b, partials, lanes).sqrt().max(f64::MIN_POSITIVE);
-    let target = tol.rel * b_norm;
-    let mut r_norm2 = dot_det(r, r, partials, lanes);
-    if r_norm2.sqrt() <= target {
-        return CgOutcome::Converged { iterations: 0, residual: r_norm2.sqrt() };
-    }
-
-    precond(r, z);
-    p.copy_from_slice(z);
-    let mut rz = dot_det(r, z, partials, lanes);
-
-    for it in 0..tol.max_iters {
-        apply(p, ap);
-        let alpha = rz / dot_det(p, ap, partials, lanes);
-        r_norm2 = fused_update_det(x, r, p, ap, alpha, partials, lanes);
-        if r_norm2.sqrt() <= target {
-            return CgOutcome::Converged { iterations: it + 1, residual: r_norm2.sqrt() };
-        }
-        precond(r, z);
-        let rz_new = dot_det(r, z, partials, lanes);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        beta_update(p, z, beta, lanes);
-    }
-    CgOutcome::MaxIterations { residual: r_norm2.sqrt() }
-}
-
-/// Jacobi preconditioner closure over the matrix diagonal.
-pub(crate) fn jacobi<'a>(diag: &'a [f64]) -> impl FnMut(&[f64], &mut [f64]) + 'a {
-    move |r: &[f64], z: &mut [f64]| {
-        for ((zi, &ri), &di) in z.iter_mut().zip(r).zip(diag) {
-            *zi = ri / di;
-        }
-    }
-}
-
-// --- Batched multi-RHS CG -------------------------------------------------
-//
-// `preconditioned_cg_multi` advances k *independent* CG recurrences in
-// lockstep — per-system alpha/beta/residual, NOT block CG — sharing one
-// fused stencil sweep per iteration. Vectors are interleaved `[node][rhs]`
-// (element (i, s) lives at `i * k + s`), so one pass over the coefficient
-// arrays serves every active right-hand side. A system retires the
-// iteration it converges (or exhausts its own iteration cap): its solution
-// lane is written back and the working vectors are compacted to the
-// surviving width, so every RHS performs the exact arithmetic sequence of a
-// serial solve.
-//
-// Bit-identity with the serial path holds because (a) the per-system
-// reductions replicate the serial chunk grid exactly — same `REDUCE_MIN`
-// gate on the per-system length, same `REDUCE_CHUNK` node boundaries, same
-// chunk-order fold — and (b) every per-element update applies the same
-// operations in the same node order per system. Retirement is pure data
-// movement (no float ops), so compaction cannot perturb survivors.
 
 /// Effective width of a kernel monomorphized at const `KW`: `KW == 0` is
 /// the dynamic-width fallback, any other `KW` is a compile-time constant,
@@ -333,43 +137,52 @@ macro_rules! dispatch_width {
 }
 pub(crate) use dispatch_width;
 
-/// Result of one batched multi-RHS CG run.
+/// Result of one CG run over k systems.
 #[derive(Debug, Clone)]
-pub(crate) struct CgMultiResult {
+pub(crate) struct CgResult {
     /// Per-system outcome, indexed like the input tolerances.
     pub outcomes: Vec<CgOutcome>,
-    /// Number of fused operator sweeps performed (initial residual plus
-    /// one per lockstep iteration) — the shared-work count the batch
-    /// amortizes across systems.
+    /// Number of operator sweeps performed (initial residual plus one per
+    /// lockstep iteration) — the shared work a batch amortizes.
     pub fused_sweeps: u64,
+    /// Number of preconditioner applications, each covering every system
+    /// still active at that point.
+    pub precond_calls: u64,
 }
 
-/// Reusable working vectors of one batched solve, all interleaved at the
-/// current active width.
+/// Reusable working vectors of one solve, interleaved at the active
+/// width. They only grow: a solve works on prefixes and writes every
+/// element before reading it, so reuse needs no clearing or refilling.
 #[derive(Debug, Default)]
-pub(crate) struct CgMultiScratch {
-    x: Vec<f64>,
+pub(crate) struct CgScratch {
+    /// Survivors' iterates once a retirement has compacted the batch.
+    packed: Vec<f64>,
+    /// Residual.
     r: Vec<f64>,
-    z: Vec<f64>,
+    /// Search direction.
     p: Vec<f64>,
-    ap: Vec<f64>,
+    /// The preconditioned residual `z`, then `A p`: within an iteration
+    /// `z` is dead once the direction is updated, before `A p` is formed.
+    zq: Vec<f64>,
     partials: Vec<f64>,
 }
 
-impl CgMultiScratch {
+impl CgScratch {
     fn ensure(&mut self, len: usize) {
-        for v in [&mut self.x, &mut self.r, &mut self.z, &mut self.p, &mut self.ap] {
-            v.clear();
-            v.resize(len, 0.0);
+        for v in [&mut self.r, &mut self.p, &mut self.zq] {
+            if v.len() < len {
+                v.resize(len, 0.0);
+            }
         }
     }
 }
 
 /// Per-system accumulation of interleaved products: `acc[s] +=
-/// a[i*k+s] * b[i*k+s]` in ascending node order — each system sees the
-/// serial fold exactly. Width-specialized via [`dispatch_width!`].
-fn dot_multi_into<const KW: usize>(a: &[f64], b: &[f64], k: usize, acc: &mut [f64]) {
+/// a[i*k+s] * b[i*k+s]` in ascending node order. Width-specialized via
+/// [`dispatch_width!`].
+fn dot_into<const KW: usize>(a: &[f64], b: &[f64], k: usize, acc: &mut [f64]) {
     let k = eff_width(KW, k);
+    let acc = &mut acc[..k];
     for (av, bv) in a.chunks_exact(k).zip(b.chunks_exact(k)) {
         for s in 0..k {
             acc[s] += av[s] * bv[s];
@@ -379,9 +192,8 @@ fn dot_multi_into<const KW: usize>(a: &[f64], b: &[f64], k: usize, acc: &mut [f6
 
 /// Per-system deterministic dot products over interleaved vectors: the
 /// [`REDUCE_MIN`] gate and the [`REDUCE_CHUNK`] boundaries are applied to
-/// the per-system node count `n`, so every system reproduces the serial
-/// [`dot_det`] operation tree bit for bit.
-fn dot_det_multi(
+/// the per-system node count `n` (see the module docs).
+fn dot_det(
     a: &[f64],
     b: &[f64],
     n: usize,
@@ -393,7 +205,7 @@ fn dot_det_multi(
     out.clear();
     out.resize(k, 0.0);
     if n < REDUCE_MIN {
-        dispatch_width!(k, dot_multi_into(a, b, k, out));
+        dispatch_width!(k, dot_into(a, b, k, out));
         return;
     }
     let nchunks = n.div_ceil(REDUCE_CHUNK);
@@ -403,7 +215,7 @@ fn dot_det_multi(
     tesa_util::pool::global().scatter(lanes, slots, |c, slot| {
         let lo = c * REDUCE_CHUNK * k;
         let hi = (lo + REDUCE_CHUNK * k).min(n * k);
-        dispatch_width!(k, dot_multi_into(&a[lo..hi], &b[lo..hi], k, slot));
+        dispatch_width!(k, dot_into(&a[lo..hi], &b[lo..hi], k, slot));
     });
     for chunk in partials.chunks(k) {
         for s in 0..k {
@@ -413,8 +225,8 @@ fn dot_det_multi(
 }
 
 /// Splits `v` into `REDUCE_CHUNK * k`-element `&mut` sub-slices — the
-/// interleaved image of the serial node-chunk grid.
-fn chunks_mut_w(v: &mut [f64], k: usize) -> Vec<&mut [f64]> {
+/// interleaved image of the per-system node-chunk grid.
+fn chunks_mut(v: &mut [f64], k: usize) -> Vec<&mut [f64]> {
     let step = REDUCE_CHUNK * k;
     let mut rest = v;
     let mut out = Vec::with_capacity(rest.len().div_ceil(step.max(1)));
@@ -427,10 +239,10 @@ fn chunks_mut_w(v: &mut [f64], k: usize) -> Vec<&mut [f64]> {
     out
 }
 
-/// One chunk of the fused multi update; `acc[s]` accumulates each system's
-/// `||r||^2` contribution in node order. Width-specialized via
-/// [`dispatch_width!`].
-fn fused_multi_into<const KW: usize>(
+/// One chunk of the fused update `x += alpha p; r -= alpha ap`; `acc[s]`
+/// accumulates each system's `||r||^2` contribution in node order.
+/// Width-specialized via [`dispatch_width!`].
+fn fused_into<const KW: usize>(
     x: &mut [f64],
     r: &mut [f64],
     p: &[f64],
@@ -440,6 +252,7 @@ fn fused_multi_into<const KW: usize>(
     acc: &mut [f64],
 ) {
     let k = eff_width(KW, k);
+    let (alpha, acc) = (&alpha[..k], &mut acc[..k]);
     for (((xv, rv), pv), apv) in x
         .chunks_exact_mut(k)
         .zip(r.chunks_exact_mut(k))
@@ -454,14 +267,15 @@ fn fused_multi_into<const KW: usize>(
     }
 }
 
-/// One scatter work item of the fused multi-RHS update: chunk index,
-/// its partial-sum slot, and the `x`/`r` chunks it advances.
+/// One scatter work item of the fused update: chunk index, its partial-sum
+/// slot, and the `x`/`r` chunks it advances.
 type FusedChunk<'a> = (usize, &'a mut [f64], &'a mut [f64], &'a mut [f64]);
 
-/// Fused multi-RHS CG update — the interleaved counterpart of
-/// [`fused_update_det`], with the serial chunk grid applied per system.
+/// Fused CG update `x += alpha p; r -= alpha ap` writing each system's new
+/// `||r||^2` to `out` — the per-system chunk grid of [`dot_det`], so the
+/// stopping test needs no separate norm pass.
 #[allow(clippy::too_many_arguments)]
-fn fused_update_det_multi(
+fn fused_update_det(
     x: &mut [f64],
     r: &mut [f64],
     p: &[f64],
@@ -476,7 +290,7 @@ fn fused_update_det_multi(
     out.clear();
     out.resize(k, 0.0);
     if n < REDUCE_MIN {
-        dispatch_width!(k, fused_multi_into(x, r, p, ap, alpha, k, out));
+        dispatch_width!(k, fused_into(x, r, p, ap, alpha, k, out));
         return;
     }
     let nchunks = n.div_ceil(REDUCE_CHUNK);
@@ -484,8 +298,8 @@ fn fused_update_det_multi(
     partials.resize(nchunks * k, 0.0);
     let items: Vec<FusedChunk> = partials
         .chunks_mut(k)
-        .zip(chunks_mut_w(x, k))
-        .zip(chunks_mut_w(r, k))
+        .zip(chunks_mut(x, k))
+        .zip(chunks_mut(r, k))
         .enumerate()
         .map(|(c, ((slot, xc), rc))| (c, slot, xc, rc))
         .collect();
@@ -493,7 +307,7 @@ fn fused_update_det_multi(
         let lo = c * REDUCE_CHUNK * k;
         let pc = &p[lo..lo + xc.len()];
         let apc = &ap[lo..lo + xc.len()];
-        dispatch_width!(k, fused_multi_into(xc, rc, pc, apc, alpha, k, slot));
+        dispatch_width!(k, fused_into(xc, rc, pc, apc, alpha, k, slot));
     });
     for chunk in partials.chunks(k) {
         for s in 0..k {
@@ -504,8 +318,9 @@ fn fused_update_det_multi(
 
 /// One chunk of the per-system direction update `p = z + beta[s] p` over
 /// interleaved vectors. Width-specialized via [`dispatch_width!`].
-fn beta_multi_chunk<const KW: usize>(pc: &mut [f64], zc: &[f64], beta: &[f64], k: usize) {
+fn beta_chunk<const KW: usize>(pc: &mut [f64], zc: &[f64], beta: &[f64], k: usize) {
     let k = eff_width(KW, k);
+    let beta = &beta[..k];
     for (pv, zv) in pc.chunks_exact_mut(k).zip(zc.chunks_exact(k)) {
         for s in 0..k {
             pv[s] = zv[s] + beta[s] * pv[s];
@@ -513,23 +328,40 @@ fn beta_multi_chunk<const KW: usize>(pc: &mut [f64], zc: &[f64], beta: &[f64], k
     }
 }
 
-/// Per-system direction update `p = z + beta[s] p` over interleaved
-/// vectors. Element-independent, so any chunking is bit-identical.
-fn beta_update_multi(p: &mut [f64], z: &[f64], beta: &[f64], n: usize, k: usize, lanes: usize) {
+/// Per-system direction update `p = z + beta[s] p`. Element-independent,
+/// so any chunking is bit-identical; parallel above [`REDUCE_MIN`].
+fn beta_update(p: &mut [f64], z: &[f64], beta: &[f64], n: usize, k: usize, lanes: usize) {
     if n < REDUCE_MIN {
-        dispatch_width!(k, beta_multi_chunk(p, z, beta, k));
+        dispatch_width!(k, beta_chunk(p, z, beta, k));
         return;
     }
-    let items: Vec<(usize, &mut [f64])> = chunks_mut_w(p, k).into_iter().enumerate().collect();
+    let items: Vec<(usize, &mut [f64])> = chunks_mut(p, k).into_iter().enumerate().collect();
     tesa_util::pool::global().scatter(lanes, items, |_, (c, pc)| {
         let lo = c * REDUCE_CHUNK * k;
-        dispatch_width!(k, beta_multi_chunk(pc, &z[lo..lo + pc.len()], beta, k));
+        dispatch_width!(k, beta_chunk(pc, &z[lo..lo + pc.len()], beta, k));
     });
 }
 
-/// Removes the lanes not in `keep` (ascending) from an interleaved vector,
-/// compacting in place to the surviving width. Pure moves, no float ops.
-fn compact_lanes(v: &mut Vec<f64>, n: usize, k_old: usize, keep: &[usize]) {
+/// Jacobi preconditioner closure over the matrix diagonal: `z = r / diag`
+/// for every system of a `[node][rhs]` interleaved vector.
+pub(crate) fn jacobi(diag: &[f64]) -> impl FnMut(&[f64], &mut [f64], usize) + '_ {
+    move |r, z, k| dispatch_width!(k, jacobi_into(diag, r, z, k))
+}
+
+/// The body of [`jacobi`], width-specialized via [`dispatch_width!`].
+fn jacobi_into<const KW: usize>(diag: &[f64], r: &[f64], z: &mut [f64], k: usize) {
+    let k = eff_width(KW, k);
+    for ((zc, rc), &d) in z.chunks_exact_mut(k).zip(r.chunks_exact(k)).zip(diag) {
+        for s in 0..k {
+            zc[s] = rc[s] / d;
+        }
+    }
+}
+
+/// Removes the lanes not in `keep` (ascending) from the first `n * k_old`
+/// elements of an interleaved vector, compacting them in place to the
+/// surviving width. Pure moves, no float ops.
+fn compact_lanes(v: &mut [f64], n: usize, k_old: usize, keep: &[usize]) {
     let k_new = keep.len();
     for i in 0..n {
         let (src, dst) = (i * k_old, i * k_new);
@@ -537,7 +369,6 @@ fn compact_lanes(v: &mut Vec<f64>, n: usize, k_old: usize, keep: &[usize]) {
             v[dst + j] = v[src + s];
         }
     }
-    v.truncate(n * k_new);
 }
 
 /// Removes the per-lane scalar slots not in `keep` (ascending).
@@ -548,31 +379,61 @@ fn compact_scalars(v: &mut Vec<f64>, keep: &[usize]) {
     v.truncate(keep.len());
 }
 
+/// Interleaves k systems of `n` nodes into `out` in `[node][rhs]` order;
+/// a `None` system holds `fill` at every node. A single system is one
+/// copy (or fill).
+pub(crate) fn interleave(systems: &[Option<&[f64]>], n: usize, fill: f64, out: &mut Vec<f64>) {
+    out.clear();
+    match systems {
+        [Some(one)] => out.extend_from_slice(one),
+        [None] => out.resize(n, fill),
+        _ => {
+            out.reserve(n * systems.len());
+            for i in 0..n {
+                out.extend(systems.iter().map(|s| s.map_or(fill, |s| s[i])));
+            }
+        }
+    }
+}
+
+/// Splits a `[node][rhs]` interleaved vector of `k` systems into one
+/// vector per system. A single system is moved, not copied.
+pub(crate) fn split_systems(xs: Vec<f64>, k: usize) -> Vec<Vec<f64>> {
+    if k == 1 {
+        return vec![xs];
+    }
+    (0..k).map(|s| xs.iter().skip(s).step_by(k).copied().collect()).collect()
+}
+
 /// Solves `A x_s = b_s` for `k` right-hand sides through `k` independent
-/// CG recurrences advanced in lockstep, sharing one fused stencil sweep
-/// per iteration.
+/// CG recurrences advanced in lockstep, sharing one operator sweep and
+/// one preconditioner application per iteration.
 ///
 /// `b` and `xs` are interleaved `[node][rhs]` at width `k = tols.len()`
 /// (element `(i, s)` at `i * k + s`); `xs` holds the initial guesses on
-/// entry and every system's solution on exit. `apply` and `precond`
-/// receive the *current active width* as their third argument — systems
-/// retire (and the working vectors compact) the iteration they converge or
-/// exhaust their per-system `max_iters`.
+/// entry and every system's solution on exit. `apply` (`y = A x`) and
+/// `precond` (`z = M^{-1} r`) receive the *current active width* as their
+/// third argument — systems retire (and the working vectors compact) the
+/// iteration they converge or exhaust their per-system `max_iters`.
+/// `lanes` caps how many pool lanes the engine's own reductions may use
+/// (the closures manage their own parallelism).
 ///
-/// Every system's solution, residual, and iteration count are bit-identical
-/// to a serial [`preconditioned_cg`] run of that system alone, for any
-/// batch size and any lane count (see the block comment above).
+/// The stopping test `||r|| <= rel * ||b||` runs before the first
+/// iteration and after every update, on a residual norm accumulated inside
+/// the `x`/`r` update loop. Every system's solution, residual, and
+/// iteration count are bit-identical to a run of that system alone, for
+/// any batch size and any lane count (see the module docs).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn preconditioned_cg_multi<A, M>(
+pub(crate) fn preconditioned_cg<A, M>(
     apply: A,
     mut precond: M,
     b: &[f64],
     xs: &mut [f64],
     n: usize,
     tols: &[Tolerance],
-    scratch: &mut CgMultiScratch,
+    scratch: &mut CgScratch,
     lanes: usize,
-) -> CgMultiResult
+) -> CgResult
 where
     A: Fn(&[f64], &mut [f64], usize),
     M: FnMut(&[f64], &mut [f64], usize),
@@ -580,160 +441,142 @@ where
     let k0 = tols.len();
     assert_eq!(b.len(), n * k0, "rhs length must be n * k");
     assert_eq!(xs.len(), n * k0, "solution length must be n * k");
-    let mut outcomes: Vec<Option<CgOutcome>> = vec![None; k0];
+    let mut result = CgResult { outcomes: Vec::new(), fused_sweeps: 0, precond_calls: 0 };
     if k0 == 0 {
-        return CgMultiResult { outcomes: Vec::new(), fused_sweeps: 0 };
+        return result;
     }
+    let mut outcomes: Vec<Option<CgOutcome>> = vec![None; k0];
 
     scratch.ensure(n * k0);
-    let CgMultiScratch { x, r, z, p, ap, partials } = scratch;
-    x.copy_from_slice(xs);
-
+    let CgScratch { packed, r, p, zq, partials } = scratch;
+    // The iterates live in `xs` until a retirement leaves survivors, then
+    // in `packed` at the surviving width.
+    let mut in_place = true;
     // active[s] = original index of working lane s.
     let mut active: Vec<usize> = (0..k0).collect();
     let mut k = k0;
 
-    apply(x, r, k);
-    let mut fused_sweeps = 1u64;
-    for (ri, &bi) in r.iter_mut().zip(b.iter()) {
+    apply(xs, &mut r[..n * k], k);
+    result.fused_sweeps = 1;
+    for (ri, &bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
     let mut targets = Vec::with_capacity(k);
-    dot_det_multi(b, b, n, k, &mut targets, partials, lanes);
+    dot_det(b, b, n, k, &mut targets, partials, lanes);
     for (s, t) in targets.iter_mut().enumerate() {
         *t = tols[s].rel * t.sqrt().max(f64::MIN_POSITIVE);
     }
     let mut norms = Vec::with_capacity(k);
-    dot_det_multi(r, r, n, k, &mut norms, partials, lanes);
+    dot_det(&r[..n * k], &r[..n * k], n, k, &mut norms, partials, lanes);
 
-    // Retire systems that are converged at iteration 0 (or allow zero
-    // iterations): the serial loop never runs for them, and its trailing
-    // precond/dot only touch discarded state.
     let mut keep: Vec<usize> = Vec::with_capacity(k);
-    for s in 0..k {
-        let res = norms[s].sqrt();
-        let orig = active[s];
-        if res <= targets[s] {
-            outcomes[orig] = Some(CgOutcome::Converged { iterations: 0, residual: res });
-        } else if tols[orig].max_iters == 0 {
-            outcomes[orig] = Some(CgOutcome::MaxIterations { residual: res });
-        } else {
-            keep.push(s);
-            continue;
-        }
-        for i in 0..n {
-            xs[i * k0 + orig] = x[i * k + s];
-        }
-    }
-    if keep.len() != k {
-        compact_lanes(x, n, k, &keep);
-        compact_lanes(r, n, k, &keep);
-        compact_scalars(&mut targets, &keep);
-        active = keep.iter().map(|&s| active[s]).collect();
-        k = keep.len();
-        z.truncate(n * k);
-        p.truncate(n * k);
-        ap.truncate(n * k);
-    }
-
-    let mut rz = Vec::with_capacity(k);
-    let mut rz_new = Vec::new();
-    let mut pap = Vec::new();
-    let mut alpha = vec![0.0; k];
-    let mut beta = vec![0.0; k];
-    if k > 0 {
-        precond(r, z, k);
-        p.copy_from_slice(z);
-        dot_det_multi(r, z, n, k, &mut rz, partials, lanes);
-    }
-
+    // Per-system `r.z`, and the alpha-then-beta scratch of one iteration.
+    let mut rz: Vec<f64> = Vec::with_capacity(k);
+    let mut step: Vec<f64> = Vec::with_capacity(k);
     let mut it = 0usize;
-    while k > 0 {
-        apply(p, ap, k);
-        fused_sweeps += 1;
-        dot_det_multi(p, ap, n, k, &mut pap, partials, lanes);
-        alpha.clear();
-        alpha.extend(rz.iter().zip(&pap).map(|(&a, &b)| a / b));
-        fused_update_det_multi(x, r, p, ap, &alpha, n, k, &mut norms, partials, lanes);
-        it += 1;
-
+    loop {
+        // Retire the systems that converged or exhausted their cap at `it`.
         keep.clear();
         for s in 0..k {
-            let res = norms[s].sqrt();
+            let residual = norms[s].sqrt();
             let orig = active[s];
-            if res <= targets[s] {
-                outcomes[orig] = Some(CgOutcome::Converged { iterations: it, residual: res });
+            outcomes[orig] = Some(if residual <= targets[s] {
+                CgOutcome::Converged { iterations: it, residual }
             } else if it >= tols[orig].max_iters {
-                outcomes[orig] = Some(CgOutcome::MaxIterations { residual: res });
+                CgOutcome::MaxIterations { residual }
             } else {
                 keep.push(s);
                 continue;
-            }
-            for i in 0..n {
-                xs[i * k0 + orig] = x[i * k + s];
+            });
+            if !in_place {
+                for i in 0..n {
+                    xs[i * k0 + orig] = packed[i * k + s];
+                }
             }
         }
-        if keep.len() != k {
-            compact_lanes(x, n, k, &keep);
-            compact_lanes(r, n, k, &keep);
-            compact_lanes(p, n, k, &keep);
-            compact_scalars(&mut targets, &keep);
-            compact_scalars(&mut rz, &keep);
-            active = keep.iter().map(|&s| active[s]).collect();
-            k = keep.len();
-            z.truncate(n * k);
-            ap.truncate(n * k);
-        }
-        if k == 0 {
+        if keep.is_empty() {
             break;
         }
+        if keep.len() != k {
+            if in_place {
+                packed.clear();
+                for i in 0..n {
+                    packed.extend(keep.iter().map(|&s| xs[i * k0 + s]));
+                }
+                in_place = false;
+            } else {
+                compact_lanes(packed, n, k, &keep);
+            }
+            compact_lanes(r, n, k, &keep);
+            compact_scalars(&mut targets, &keep);
+            if it > 0 {
+                compact_lanes(p, n, k, &keep);
+                compact_scalars(&mut rz, &keep);
+            }
+            active = keep.iter().map(|&s| active[s]).collect();
+            k = keep.len();
+        }
+        let w = n * k;
+        let x: &mut [f64] = if in_place { &mut *xs } else { &mut packed[..w] };
 
-        precond(r, z, k);
-        dot_det_multi(r, z, n, k, &mut rz_new, partials, lanes);
-        beta.clear();
-        beta.extend(rz_new.iter().zip(&rz).map(|(&new, &old)| new / old));
-        std::mem::swap(&mut rz, &mut rz_new);
-        beta_update_multi(p, z, &beta, n, k, lanes);
+        // New search direction from the preconditioned residual.
+        let z = &mut zq[..w];
+        precond(&r[..w], z, k);
+        result.precond_calls += 1;
+        if it == 0 {
+            p[..w].copy_from_slice(z);
+            dot_det(&r[..w], z, n, k, &mut rz, partials, lanes);
+        } else {
+            dot_det(&r[..w], z, n, k, &mut step, partials, lanes);
+            for (beta, old) in step.iter_mut().zip(rz.iter_mut()) {
+                let new = *beta;
+                *beta = new / *old;
+                *old = new;
+            }
+            beta_update(&mut p[..w], z, &step, n, k, lanes);
+        }
+
+        // Step along it.
+        let ap = &mut zq[..w];
+        apply(&p[..w], ap, k);
+        result.fused_sweeps += 1;
+        dot_det(&p[..w], ap, n, k, &mut step, partials, lanes);
+        for (alpha, &rzs) in step.iter_mut().zip(&rz) {
+            *alpha = rzs / *alpha;
+        }
+        fused_update_det(x, &mut r[..w], &p[..w], ap, &step, n, k, &mut norms, partials, lanes);
+        it += 1;
     }
 
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every system retires exactly once"))
-        .collect();
-    CgMultiResult { outcomes, fused_sweeps }
-}
-
-/// [`preconditioned_cg`] with Jacobi preconditioning — the historical entry
-/// point, kept for small systems and tests.
-#[cfg(test)]
-pub(crate) fn conjugate_gradient<F>(
-    apply: F,
-    diag: &[f64],
-    b: &[f64],
-    x: &mut [f64],
-    tol: Tolerance,
-) -> CgOutcome
-where
-    F: Fn(&[f64], &mut [f64]),
-{
-    let mut scratch = CgScratch::default();
-    preconditioned_cg(apply, jacobi(diag), b, x, tol, &mut scratch, 1)
+    result.outcomes =
+        outcomes.into_iter().map(|o| o.expect("every system retires exactly once")).collect();
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `A = [[4,1],[1,3]]` in interleaved form (width `k`).
+    fn apply_2x2(v: &[f64], out: &mut [f64], k: usize) {
+        for s in 0..k {
+            out[s] = 4.0 * v[s] + v[k + s];
+            out[k + s] = v[s] + 3.0 * v[k + s];
+        }
+    }
+
+    /// One Jacobi-preconditioned solve of the 2x2 system.
+    fn solve_2x2(b: &[f64], x: &mut [f64], tol: Tolerance, scratch: &mut CgScratch) -> CgOutcome {
+        preconditioned_cg(apply_2x2, jacobi(&[4.0, 3.0]), b, x, 2, &[tol], scratch, 1).outcomes[0]
+    }
+
     /// A tiny dense SPD system solved against a hand-inverted answer.
     #[test]
     fn solves_small_spd_system() {
         // A = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11].
-        let apply = |v: &[f64], out: &mut [f64]| {
-            out[0] = 4.0 * v[0] + v[1];
-            out[1] = v[0] + 3.0 * v[1];
-        };
         let mut x = vec![0.0, 0.0];
-        let outcome = conjugate_gradient(apply, &[4.0, 3.0], &[1.0, 2.0], &mut x, Tolerance::default());
+        let outcome =
+            solve_2x2(&[1.0, 2.0], &mut x, Tolerance::default(), &mut CgScratch::default());
         assert!(matches!(outcome, CgOutcome::Converged { .. }));
         assert!((x[0] - 1.0 / 11.0).abs() < 1e-9);
         assert!((x[1] - 7.0 / 11.0).abs() < 1e-9);
@@ -741,12 +584,9 @@ mod tests {
 
     #[test]
     fn warm_start_converges_immediately() {
-        let apply = |v: &[f64], out: &mut [f64]| {
-            out[0] = 4.0 * v[0] + v[1];
-            out[1] = v[0] + 3.0 * v[1];
-        };
         let mut x = vec![1.0 / 11.0, 7.0 / 11.0];
-        let outcome = conjugate_gradient(apply, &[4.0, 3.0], &[1.0, 2.0], &mut x, Tolerance::default());
+        let outcome =
+            solve_2x2(&[1.0, 2.0], &mut x, Tolerance::default(), &mut CgScratch::default());
         match outcome {
             CgOutcome::Converged { iterations, .. } => assert!(iterations <= 1),
             CgOutcome::MaxIterations { .. } => panic!("should converge"),
@@ -756,24 +596,23 @@ mod tests {
     #[test]
     fn respects_iteration_cap() {
         // Ill-scaled 2x2 still converges fast; force the cap with 0 iters.
-        let apply = |v: &[f64], out: &mut [f64]| {
-            out[0] = v[0];
-            out[1] = v[1];
-        };
         let mut x = vec![0.0, 0.0];
-        let outcome = conjugate_gradient(
-            apply,
-            &[1.0, 1.0],
+        let outcome = preconditioned_cg(
+            |v: &[f64], out: &mut [f64], _k: usize| out.copy_from_slice(v),
+            jacobi(&[1.0, 1.0]),
             &[1.0, 1.0],
             &mut x,
-            Tolerance { rel: 1e-12, max_iters: 0 },
+            2,
+            &[Tolerance { rel: 1e-12, max_iters: 0 }],
+            &mut CgScratch::default(),
+            1,
         );
-        assert!(matches!(outcome, CgOutcome::MaxIterations { .. }));
+        assert!(matches!(outcome.outcomes[0], CgOutcome::MaxIterations { .. }));
     }
 
     /// The chunked reductions must be bit-identical for every lane count
     /// (the chunk grid depends only on `n`) and numerically equivalent to
-    /// the serial single-accumulator reference.
+    /// the single-accumulator reference.
     #[test]
     fn chunked_reductions_are_lane_count_invariant() {
         let n = REDUCE_MIN + 123; // odd tail chunk on purpose
@@ -782,48 +621,36 @@ mod tests {
         let b: Vec<f64> =
             (0..n).map(|i| ((i.wrapping_mul(40503)) % 997) as f64 * 1e-3 - 0.3).collect();
         let mut partials = Vec::new();
-        let reference = dot_det(&a, &b, &mut partials, 1);
+        let mut reference = Vec::new();
+        dot_det(&a, &b, n, 1, &mut reference, &mut partials, 1);
+        let mut d = Vec::new();
         for lanes in [2, 3, 8] {
-            let d = dot_det(&a, &b, &mut partials, lanes);
-            assert_eq!(d.to_bits(), reference.to_bits(), "dot differs at lanes={lanes}");
+            dot_det(&a, &b, n, 1, &mut d, &mut partials, lanes);
+            assert_eq!(d[0].to_bits(), reference[0].to_bits(), "dot differs at lanes={lanes}");
         }
-        let serial = dot(&a, &b);
-        assert!((reference - serial).abs() <= 1e-12 * serial.abs().max(1.0));
+        let serial: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+        assert!((reference[0] - serial).abs() <= 1e-12 * serial.abs().max(1.0));
 
+        let (mut f1, mut f8) = (Vec::new(), Vec::new());
         let mut x1 = vec![0.0; n];
         let mut r1 = a.clone();
-        let f1 = fused_update_det(&mut x1, &mut r1, &b, &a, 0.25, &mut partials, 1);
+        fused_update_det(&mut x1, &mut r1, &b, &a, &[0.25], n, 1, &mut f1, &mut partials, 1);
         let mut x8 = vec![0.0; n];
         let mut r8 = a.clone();
-        let f8 = fused_update_det(&mut x8, &mut r8, &b, &a, 0.25, &mut partials, 8);
-        assert_eq!(f1.to_bits(), f8.to_bits());
+        fused_update_det(&mut x8, &mut r8, &b, &a, &[0.25], n, 1, &mut f8, &mut partials, 8);
+        assert_eq!(f1[0].to_bits(), f8[0].to_bits());
         assert!(x1.iter().zip(&x8).all(|(u, v)| u.to_bits() == v.to_bits()));
         assert!(r1.iter().zip(&r8).all(|(u, v)| u.to_bits() == v.to_bits()));
 
         let mut p1 = a.clone();
-        beta_update(&mut p1, &b, 0.75, 1);
+        beta_update(&mut p1, &b, &[0.75], n, 1, 1);
         let mut p8 = a.clone();
-        beta_update(&mut p8, &b, 0.75, 8);
+        beta_update(&mut p8, &b, &[0.75], n, 1, 8);
         assert!(p1.iter().zip(&p8).all(|(u, v)| u.to_bits() == v.to_bits()));
     }
 
-    /// Shared tridiagonal SPD test operator: `A = tridiag(-1, 3, -1)`.
-    fn tridiag_apply(v: &[f64], out: &mut [f64]) {
-        let n = v.len();
-        for i in 0..n {
-            let mut acc = 3.0 * v[i];
-            if i > 0 {
-                acc -= v[i - 1];
-            }
-            if i + 1 < n {
-                acc -= v[i + 1];
-            }
-            out[i] = acc;
-        }
-    }
-
-    /// Interleaved `[node][rhs]` image of [`tridiag_apply`].
-    fn tridiag_apply_multi(v: &[f64], out: &mut [f64], k: usize) {
+    /// Interleaved `A = tridiag(-1, 3, -1)` over `k` systems.
+    fn tridiag_apply(v: &[f64], out: &mut [f64], k: usize) {
         let n = v.len() / k;
         for i in 0..n {
             for s in 0..k {
@@ -839,11 +666,18 @@ mod tests {
         }
     }
 
-    /// Every system of a batched solve must reproduce its serial solve bit
-    /// for bit — fields, residual, and iteration count — for any batch
-    /// size, mixed tolerances (early retirement), and any lane count.
+    /// Diagonal preconditioner of [`tridiag_apply`].
+    fn tridiag_precond(r: &[f64], z: &mut [f64], _k: usize) {
+        for (zi, &ri) in z.iter_mut().zip(r) {
+            *zi = ri / 3.0;
+        }
+    }
+
+    /// Every system of a batched solve must reproduce its single-system
+    /// solve bit for bit — fields, residual, and iteration count — for any
+    /// batch size, mixed tolerances (early retirement), and any lane count.
     #[test]
-    fn multi_rhs_matches_serial_bit_for_bit() {
+    fn multi_rhs_matches_single_system_bit_for_bit() {
         let n = REDUCE_MIN + 37; // crosses the chunked-reduction gate
         let tols = [
             Tolerance::default(),
@@ -861,46 +695,35 @@ mod tests {
             })
             .collect();
 
-        // Serial reference at lanes=1.
-        let mut serial_x = Vec::new();
-        let mut serial_out = Vec::new();
+        // Single-system reference at lanes=1.
+        let mut single_x = Vec::new();
+        let mut single_out = Vec::new();
         let mut scratch = CgScratch::default();
         for s in 0..k {
             let mut x = vec![0.0; n];
             let out = preconditioned_cg(
                 tridiag_apply,
-                |r: &[f64], z: &mut [f64]| {
-                    for (zi, &ri) in z.iter_mut().zip(r) {
-                        *zi = ri / 3.0;
-                    }
-                },
+                tridiag_precond,
                 &rhs[s],
                 &mut x,
-                tols[s],
+                n,
+                &tols[s..=s],
                 &mut scratch,
                 1,
             );
-            serial_x.push(x);
-            serial_out.push(out);
+            single_x.push(x);
+            single_out.push(out.outcomes[0]);
         }
 
-        let mut multi_scratch = CgMultiScratch::default();
+        let mut multi_scratch = CgScratch::default();
         for lanes in [1, 2, 8] {
-            let mut b = vec![0.0; n * k];
+            let refs: Vec<Option<&[f64]>> = rhs.iter().map(|v| Some(v.as_slice())).collect();
+            let mut b = Vec::new();
+            interleave(&refs, n, 0.0, &mut b);
             let mut xs = vec![0.0; n * k];
-            for i in 0..n {
-                for s in 0..k {
-                    b[i * k + s] = rhs[s][i];
-                }
-            }
-            let result = preconditioned_cg_multi(
-                tridiag_apply_multi,
-                |r: &[f64], z: &mut [f64], kw: usize| {
-                    let _ = kw;
-                    for (zi, &ri) in z.iter_mut().zip(r) {
-                        *zi = ri / 3.0;
-                    }
-                },
+            let result = preconditioned_cg(
+                tridiag_apply,
+                tridiag_precond,
                 &b,
                 &mut xs,
                 n,
@@ -910,7 +733,7 @@ mod tests {
             );
             assert_eq!(result.outcomes.len(), k);
             for s in 0..k {
-                let (it_ref, res_ref) = serial_out[s].stats(tols[s].max_iters);
+                let (it_ref, res_ref) = single_out[s].stats(tols[s].max_iters);
                 let (it_got, res_got) = result.outcomes[s].stats(tols[s].max_iters);
                 assert_eq!(it_got, it_ref, "iterations differ for system {s} at lanes={lanes}");
                 assert_eq!(
@@ -919,14 +742,14 @@ mod tests {
                     "residual differs for system {s} at lanes={lanes}"
                 );
                 assert!(matches!(
-                    (&result.outcomes[s], &serial_out[s]),
+                    (&result.outcomes[s], &single_out[s]),
                     (CgOutcome::Converged { .. }, CgOutcome::Converged { .. })
                         | (CgOutcome::MaxIterations { .. }, CgOutcome::MaxIterations { .. })
                 ));
                 for i in 0..n {
                     assert_eq!(
                         xs[i * k + s].to_bits(),
-                        serial_x[s][i].to_bits(),
+                        single_x[s][i].to_bits(),
                         "x[{i}] differs for system {s} at lanes={lanes}"
                     );
                 }
@@ -934,82 +757,77 @@ mod tests {
             // One fused sweep per lockstep iteration plus the initial
             // residual: bounded by the slowest unretired system.
             let max_iters_run =
-                (0..k).map(|s| serial_out[s].stats(tols[s].max_iters).0).max().unwrap();
+                (0..k).map(|s| single_out[s].stats(tols[s].max_iters).0).max().unwrap();
             assert_eq!(result.fused_sweeps, 1 + max_iters_run as u64);
         }
     }
 
-    /// A batch of one must be indistinguishable from a serial solve, and
-    /// an empty batch is a no-op.
+    /// The engine reports exactly the preconditioner applications it makes
+    /// — one per lockstep iteration after the first residual check, shared
+    /// by every active system — at width 1 and at width 3.
     #[test]
-    fn multi_rhs_degenerate_batches() {
-        let n = 257;
-        let b: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.1 - 0.5).collect();
-        let mut scratch = CgScratch::default();
-        let mut x_ref = vec![0.0; n];
-        let out_ref = preconditioned_cg(
-            tridiag_apply,
-            |r: &[f64], z: &mut [f64]| {
-                for (zi, &ri) in z.iter_mut().zip(r) {
-                    *zi = ri / 3.0;
-                }
-            },
-            &b,
-            &mut x_ref,
+    fn precond_calls_are_counted_where_they_happen() {
+        let n = 300;
+        let tols = [
             Tolerance::default(),
-            &mut scratch,
-            1,
-        );
+            Tolerance { rel: 1e-4, max_iters: 20_000 },
+            Tolerance { rel: 1e-12, max_iters: 5 },
+        ];
+        for width in [1usize, 3] {
+            let rhs: Vec<Vec<f64>> = (0..width)
+                .map(|s| (0..n).map(|i| ((i * 31 + s * 7) % 17) as f64 * 0.1 - 0.5).collect())
+                .collect();
+            let refs: Vec<Option<&[f64]>> = rhs.iter().map(|v| Some(v.as_slice())).collect();
+            let mut b = Vec::new();
+            interleave(&refs, n, 0.0, &mut b);
+            let mut xs = vec![0.0; n * width];
+            let mut calls = 0u64;
+            let result = preconditioned_cg(
+                tridiag_apply,
+                |r: &[f64], z: &mut [f64], k: usize| {
+                    calls += 1;
+                    tridiag_precond(r, z, k);
+                },
+                &b,
+                &mut xs,
+                n,
+                &tols[..width],
+                &mut CgScratch::default(),
+                1,
+            );
+            assert!(calls > 0);
+            assert_eq!(result.precond_calls, calls, "width {width}");
+            assert_eq!(result.fused_sweeps, calls + 1, "width {width}");
+        }
+    }
 
-        let mut multi_scratch = CgMultiScratch::default();
-        let mut xs = vec![0.0; n];
-        let result = preconditioned_cg_multi(
-            tridiag_apply_multi,
-            |r: &[f64], z: &mut [f64], _kw: usize| {
-                for (zi, &ri) in z.iter_mut().zip(r) {
-                    *zi = ri / 3.0;
-                }
-            },
-            &b,
-            &mut xs,
-            n,
-            &[Tolerance::default()],
-            &mut multi_scratch,
-            1,
-        );
-        let (it_ref, res_ref) = out_ref.stats(usize::MAX);
-        let (it_got, res_got) = result.outcomes[0].stats(usize::MAX);
-        assert_eq!(it_got, it_ref);
-        assert_eq!(res_got.to_bits(), res_ref.to_bits());
-        assert!(xs.iter().zip(&x_ref).all(|(a, c)| a.to_bits() == c.to_bits()));
-
-        let empty = preconditioned_cg_multi(
-            tridiag_apply_multi,
-            |_r: &[f64], _z: &mut [f64], _kw: usize| {},
+    /// An empty batch is a no-op.
+    #[test]
+    fn empty_batch_is_a_no_op() {
+        let empty = preconditioned_cg(
+            tridiag_apply,
+            tridiag_precond,
             &[],
             &mut [],
-            n,
+            257,
             &[],
-            &mut multi_scratch,
+            &mut CgScratch::default(),
             1,
         );
         assert!(empty.outcomes.is_empty());
         assert_eq!(empty.fused_sweeps, 0);
+        assert_eq!(empty.precond_calls, 0);
     }
 
     #[test]
     fn scratch_reuse_is_transparent() {
         // Two different solves through one scratch give the same answers
         // as fresh solves.
-        let apply = |v: &[f64], out: &mut [f64]| {
-            out[0] = 4.0 * v[0] + v[1];
-            out[1] = v[0] + 3.0 * v[1];
-        };
         let mut scratch = CgScratch::default();
         let mut x1 = vec![0.0, 0.0];
-        preconditioned_cg(apply, jacobi(&[4.0, 3.0]), &[1.0, 2.0], &mut x1, Tolerance::default(), &mut scratch, 1);
+        solve_2x2(&[1.0, 2.0], &mut x1, Tolerance::default(), &mut scratch);
         let mut x2 = vec![0.0, 0.0];
-        preconditioned_cg(apply, jacobi(&[4.0, 3.0]), &[2.0, 1.0], &mut x2, Tolerance::default(), &mut scratch, 1);
+        solve_2x2(&[2.0, 1.0], &mut x2, Tolerance::default(), &mut scratch);
         assert!((x1[0] - 1.0 / 11.0).abs() < 1e-9 && (x1[1] - 7.0 / 11.0).abs() < 1e-9);
         // A x2 = [2,1] -> x2 = [5/11, 2/11].
         assert!((x2[0] - 5.0 / 11.0).abs() < 1e-9 && (x2[1] - 2.0 / 11.0).abs() < 1e-9);

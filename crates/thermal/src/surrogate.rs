@@ -28,12 +28,12 @@
 //! fall back to [`crate::ThermalModel::solve`] whenever a decision depends
 //! on where inside that interval the true peak lies.
 
-use crate::multigrid::{MgScratch, MgScratchMulti, Multigrid};
+use crate::model;
+use crate::multigrid::{MgScratch, Multigrid};
 use crate::power::PowerMap;
-use crate::solver::{self, CgMultiScratch, CgOutcome, CgScratch, Tolerance};
+use crate::solver::{self, CgOutcome, CgScratch, Tolerance};
 
 use std::sync::Mutex;
-use tesa_util::{trace, Json};
 
 /// Floor on the reported error bound, °C. Covers solver tolerance and
 /// rounding differences between the surrogate's CG path and the exact
@@ -60,21 +60,17 @@ const SURROGATE_CG_MAX_ITERS: usize = 5_000;
 
 /// Pooled per-solve workspaces so concurrent surrogate queries (the
 /// annealer screens speculative candidates from several threads) never
-/// allocate the CG/V-cycle vectors per call.
+/// allocate the CG/V-cycle vectors per call. Vectors hold the queried maps
+/// interleaved `[node][rhs]`.
 #[derive(Debug, Default)]
 struct SurrogateScratch {
     cg: CgScratch,
     mg: MgScratch,
+    /// Level-`l1` right-hand side of each map, one after the other, before
+    /// interleaving (batched queries only).
+    planes: Vec<f64>,
     rhs1: Vec<f64>,
     rhs2: Vec<f64>,
-    /// Second right-hand-side buffers plus the interleaved `[node][rhs]`
-    /// vectors and multi-system workspaces used by [`Surrogate::solve_pair`].
-    rhs1b: Vec<f64>,
-    rhs2b: Vec<f64>,
-    bi: Vec<f64>,
-    xi: Vec<f64>,
-    cgm: CgMultiScratch,
-    mgm: MgScratchMulti,
 }
 
 /// The cheap coarse-level solver derived from one [`crate::ThermalModel`]
@@ -208,7 +204,7 @@ impl Surrogate {
             amb0
         } else {
             let mut a1 = vec![0.0; mg.level(l1).n()];
-            mg.level(0).restrict_to(mg.level(l1), &amb0, &mut a1, 1);
+            mg.level(0).restrict_to(mg.level(l1), &amb0, &mut a1, 1, 1);
             a1
         };
         Self {
@@ -238,167 +234,7 @@ impl Surrogate {
     /// Panics if `power` was created for a different grid, or if the
     /// coarse CG fails to converge (malformed stack).
     pub fn solve(&self, power: &PowerMap) -> SurrogateSolution {
-        let n_fine = self.nl * self.fine_ny * self.fine_nx;
-        assert_eq!(power.watts.len(), n_fine, "power map does not match this surrogate's grid");
-        let mut s = self.scratch.lock().expect("surrogate scratch poisoned").pop().unwrap_or_default();
-
-        // Right-hand side at l1: restricted injected power + ambient anchor.
-        let lvl1 = self.mg.level(self.l1);
-        let n1 = lvl1.n();
-        self.fill_rhs1(power, &mut s.rhs1);
-
-        // Zero initial iterates: deterministic, and the V-cycle
-        // preconditioner makes the start point nearly irrelevant.
-        let mut x1 = vec![0.0; n1];
-        self.coarse_solve(self.l1, &s.rhs1, &mut x1, &mut s.cg, &mut s.mg);
-        let (nx1, ny1, _) = lvl1.dims();
-        let p1 = layer_peaks(&x1, nx1 * ny1, self.nl);
-
-        let (layer_est_c, bound_c) = if self.l1 == 0 {
-            (p1, BOUND_FLOOR_C)
-        } else {
-            let lvl2 = self.mg.level(self.l2);
-            let n2 = lvl2.n();
-            s.rhs2.clear();
-            s.rhs2.resize(n2, 0.0);
-            lvl1.restrict_to(lvl2, &s.rhs1, &mut s.rhs2, self.lanes);
-            let mut x2 = vec![0.0; n2];
-            self.coarse_solve(self.l2, &s.rhs2, &mut x2, &mut s.cg, &mut s.mg);
-            let (nx2, ny2, _) = lvl2.dims();
-            let p2 = layer_peaks(&x2, nx2 * ny2, self.nl);
-            let max_gap = p1
-                .iter()
-                .zip(&p2)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            let est: Vec<f64> = p1.iter().zip(&p2).map(|(a, b)| a + (a - b)).collect();
-            (est, BOUND_FLOOR_C + BOUND_SAFETY * max_gap)
-        };
-
-        self.scratch.lock().expect("surrogate scratch poisoned").push(s);
-        SurrogateSolution {
-            temps1: x1,
-            layer_est_c,
-            bound_c,
-            nx1,
-            ny1,
-            nl: self.nl,
-            scale: 1 << self.l1,
-        }
-    }
-
-    /// CG on the level-`li` operator, preconditioned by the sub-hierarchy
-    /// V-cycle from that level down.
-    fn coarse_solve(
-        &self,
-        li: usize,
-        b: &[f64],
-        x: &mut [f64],
-        cg: &mut CgScratch,
-        mgs: &mut MgScratch,
-    ) {
-        let level = self.mg.level(li);
-        let tol = Tolerance { rel: SURROGATE_CG_REL, max_iters: SURROGATE_CG_MAX_ITERS };
-        let outcome = solver::preconditioned_cg(
-            |v, out| level.apply(v, out, self.lanes),
-            |r, z| self.mg.vcycle_from(li, r, z, mgs, self.lanes),
-            b,
-            x,
-            tol,
-            cg,
-            self.lanes,
-        );
-        match outcome {
-            CgOutcome::Converged { .. } => {}
-            CgOutcome::MaxIterations { residual } => {
-                panic!("surrogate CG failed to converge at level {li} (residual {residual:e})")
-            }
-        }
-    }
-
-    /// Fills `out` with the level-`l1` right-hand side for `power`:
-    /// restricted injected power plus the precomputed ambient anchor.
-    fn fill_rhs1(&self, power: &PowerMap, out: &mut Vec<f64>) {
-        let lvl1 = self.mg.level(self.l1);
-        out.clear();
-        out.resize(lvl1.n(), 0.0);
-        if self.l1 == 0 {
-            out.copy_from_slice(&power.watts);
-        } else {
-            self.mg.level(0).restrict_to(lvl1, &power.watts, out, self.lanes);
-        }
-        for (r, &a) in out.iter_mut().zip(&self.amb1) {
-            *r += a;
-        }
-    }
-
-    /// Batched [`Surrogate::coarse_solve`] over two right-hand sides on the
-    /// same level: each CG iteration runs one fused stencil sweep and one
-    /// fused V-cycle for both systems, and each system retires on its own
-    /// serial schedule, so both solutions are bit-identical to serial
-    /// solves of each system alone.
-    fn coarse_solve_pair(
-        &self,
-        li: usize,
-        b_lo: &[f64],
-        b_hi: &[f64],
-        x_lo: &mut [f64],
-        x_hi: &mut [f64],
-        s: &mut SurrogateScratch,
-    ) {
-        let level = self.mg.level(li);
-        let n = level.n();
-        let tol = Tolerance { rel: SURROGATE_CG_REL, max_iters: SURROGATE_CG_MAX_ITERS };
-        let SurrogateScratch { cgm, mgm, bi, xi, .. } = s;
-        bi.clear();
-        bi.resize(n * 2, 0.0);
-        for (slot, (&lo, &hi)) in bi.chunks_exact_mut(2).zip(b_lo.iter().zip(b_hi)) {
-            slot[0] = lo;
-            slot[1] = hi;
-        }
-        // Zero initial iterates, exactly as the serial path's.
-        xi.clear();
-        xi.resize(n * 2, 0.0);
-        let result = solver::preconditioned_cg_multi(
-            |v, out, kw| level.apply_multi(v, out, self.lanes, kw),
-            |r, z, kw| self.mg.vcycle_from_multi(li, r, z, mgm, self.lanes, kw),
-            bi,
-            xi,
-            n,
-            &[tol, tol],
-            cgm,
-            self.lanes,
-        );
-        for outcome in &result.outcomes {
-            if let CgOutcome::MaxIterations { residual } = outcome {
-                panic!("surrogate CG failed to converge at level {li} (residual {residual:e})")
-            }
-        }
-        crate::model::BATCH_WIDTH.record(2);
-        crate::model::VCYCLES.add(result.fused_sweeps);
-        for outcome in &result.outcomes {
-            crate::model::CG_ITERS.record(outcome.stats(SURROGATE_CG_MAX_ITERS).0 as u64);
-        }
-        trace::event("thermal.batch", || {
-            let retire: Vec<Json> = result
-                .outcomes
-                .iter()
-                .map(|o| Json::U64(o.stats(SURROGATE_CG_MAX_ITERS).0 as u64))
-                .collect();
-            vec![
-                ("n", Json::U64(n as u64)),
-                ("batch", Json::U64(2)),
-                ("precond", Json::str("surrogate")),
-                ("fused_sweeps", Json::U64(result.fused_sweeps)),
-                ("retire_iters", Json::Arr(retire)),
-            ]
-        });
-        for ((&a, &b), (dl, dh)) in
-            xi.chunks_exact(2).map(|c| (&c[0], &c[1])).zip(x_lo.iter_mut().zip(x_hi.iter_mut()))
-        {
-            *dl = a;
-            *dh = b;
-        }
+        self.solve_all(&[power]).remove(0)
     }
 
     /// Solves the coarse systems for **two** fine-grid power maps through
@@ -415,69 +251,137 @@ impl Surrogate {
         low: &PowerMap,
         high: &PowerMap,
     ) -> (SurrogateSolution, SurrogateSolution) {
-        if self.l1 == 0 {
-            // Shallow hierarchies solve exactly on the fine grid; those
-            // solves are already cheap, so the rare branch stays serial.
-            return (self.solve(low), self.solve(high));
-        }
+        let mut both = self.solve_all(&[low, high]);
+        let high = both.pop().expect("one solution per map");
+        (both.pop().expect("one solution per map"), high)
+    }
+
+    /// The surrogate solutions of k power maps: one batched CG per coarse
+    /// level over all of them.
+    fn solve_all(&self, powers: &[&PowerMap]) -> Vec<SurrogateSolution> {
+        let k = powers.len();
         let n_fine = self.nl * self.fine_ny * self.fine_nx;
-        assert_eq!(low.watts.len(), n_fine, "power map does not match this surrogate's grid");
-        assert_eq!(high.watts.len(), n_fine, "power map does not match this surrogate's grid");
-        let mut s =
-            self.scratch.lock().expect("surrogate scratch poisoned").pop().unwrap_or_default();
+        for power in powers {
+            assert_eq!(power.watts.len(), n_fine, "power map does not match this surrogate's grid");
+        }
+        let mut s = self.scratch.lock().expect("surrogate scratch poisoned").pop().unwrap_or_default();
 
-        // Both level-1 right-hand sides, moved out of the scratch so the
-        // pair solve can borrow the remaining workspaces mutably.
-        let mut rhs1_lo = std::mem::take(&mut s.rhs1);
-        let mut rhs1_hi = std::mem::take(&mut s.rhs1b);
-        self.fill_rhs1(low, &mut rhs1_lo);
-        self.fill_rhs1(high, &mut rhs1_hi);
-
+        // Right-hand sides at l1: restricted injected power + ambient anchor.
         let lvl1 = self.mg.level(self.l1);
         let n1 = lvl1.n();
-        let mut x1_lo = vec![0.0; n1];
-        let mut x1_hi = vec![0.0; n1];
-        self.coarse_solve_pair(self.l1, &rhs1_lo, &rhs1_hi, &mut x1_lo, &mut x1_hi, &mut s);
+        self.fill_rhs1(powers, &mut s);
 
-        let lvl2 = self.mg.level(self.l2);
-        let n2 = lvl2.n();
-        let mut rhs2_lo = std::mem::take(&mut s.rhs2);
-        let mut rhs2_hi = std::mem::take(&mut s.rhs2b);
-        for rhs2 in [&mut rhs2_lo, &mut rhs2_hi] {
-            rhs2.clear();
-            rhs2.resize(n2, 0.0);
-        }
-        lvl1.restrict_to(lvl2, &rhs1_lo, &mut rhs2_lo, self.lanes);
-        lvl1.restrict_to(lvl2, &rhs1_hi, &mut rhs2_hi, self.lanes);
-        let mut x2_lo = vec![0.0; n2];
-        let mut x2_hi = vec![0.0; n2];
-        self.coarse_solve_pair(self.l2, &rhs2_lo, &rhs2_hi, &mut x2_lo, &mut x2_hi, &mut s);
-
-        s.rhs1 = rhs1_lo;
-        s.rhs1b = rhs1_hi;
-        s.rhs2 = rhs2_lo;
-        s.rhs2b = rhs2_hi;
+        // Zero initial iterates: deterministic, and the V-cycle
+        // preconditioner makes the start point nearly irrelevant.
+        let mut x1 = vec![0.0; n1 * k];
+        self.coarse_solve(self.l1, &s.rhs1, &mut x1, k, &mut s.cg, &mut s.mg);
+        let x2 = if self.l1 == 0 {
+            None
+        } else {
+            let lvl2 = self.mg.level(self.l2);
+            s.rhs2.clear();
+            s.rhs2.resize(lvl2.n() * k, 0.0);
+            lvl1.restrict_to(lvl2, &s.rhs1, &mut s.rhs2, self.lanes, k);
+            let mut x2 = vec![0.0; lvl2.n() * k];
+            self.coarse_solve(self.l2, &s.rhs2, &mut x2, k, &mut s.cg, &mut s.mg);
+            Some(solver::split_systems(x2, k))
+        };
         self.scratch.lock().expect("surrogate scratch poisoned").push(s);
 
         let (nx1, ny1, _) = lvl1.dims();
-        let (nx2, ny2, _) = lvl2.dims();
-        let finish = |x1: Vec<f64>, x2: &[f64]| {
-            let p1 = layer_peaks(&x1, nx1 * ny1, self.nl);
-            let p2 = layer_peaks(x2, nx2 * ny2, self.nl);
-            let max_gap =
-                p1.iter().zip(&p2).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-            let est: Vec<f64> = p1.iter().zip(&p2).map(|(a, b)| a + (a - b)).collect();
-            SurrogateSolution {
-                temps1: x1,
-                layer_est_c: est,
-                bound_c: BOUND_FLOOR_C + BOUND_SAFETY * max_gap,
-                nx1,
-                ny1,
-                nl: self.nl,
-                scale: 1 << self.l1,
+        solver::split_systems(x1, k)
+            .into_iter()
+            .enumerate()
+            .map(|(sy, temps1)| {
+                let p1 = layer_peaks(&temps1, nx1 * ny1, self.nl);
+                let (layer_est_c, bound_c) = match &x2 {
+                    None => (p1, BOUND_FLOOR_C),
+                    Some(x2) => {
+                        let (nx2, ny2, _) = self.mg.level(self.l2).dims();
+                        let p2 = layer_peaks(&x2[sy], nx2 * ny2, self.nl);
+                        let max_gap =
+                            p1.iter().zip(&p2).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+                        let est: Vec<f64> = p1.iter().zip(&p2).map(|(a, b)| a + (a - b)).collect();
+                        (est, BOUND_FLOOR_C + BOUND_SAFETY * max_gap)
+                    }
+                };
+                SurrogateSolution {
+                    temps1,
+                    layer_est_c,
+                    bound_c,
+                    nx1,
+                    ny1,
+                    nl: self.nl,
+                    scale: 1 << self.l1,
+                }
+            })
+            .collect()
+    }
+
+    /// CG on the level-`li` operator for k interleaved right-hand sides,
+    /// preconditioned by the sub-hierarchy V-cycle from that level down.
+    /// Records the solves' CG iterations and V-cycles, plus the batch when
+    /// k > 1.
+    fn coarse_solve(
+        &self,
+        li: usize,
+        b: &[f64],
+        x: &mut [f64],
+        k: usize,
+        cg: &mut CgScratch,
+        mgs: &mut MgScratch,
+    ) {
+        let level = self.mg.level(li);
+        let n = level.n();
+        let tols = vec![Tolerance { rel: SURROGATE_CG_REL, max_iters: SURROGATE_CG_MAX_ITERS }; k];
+        let result = solver::preconditioned_cg(
+            |v, out, kw| level.apply(v, out, self.lanes, kw),
+            |r, z, kw| self.mg.vcycle_from(li, r, z, mgs, self.lanes, kw),
+            b,
+            x,
+            n,
+            &tols,
+            cg,
+            self.lanes,
+        );
+        for outcome in &result.outcomes {
+            if let CgOutcome::MaxIterations { residual } = outcome {
+                panic!("surrogate CG failed to converge at level {li} (residual {residual:e})")
             }
-        };
-        (finish(x1_lo, &x2_lo), finish(x1_hi, &x2_hi))
+        }
+        model::VCYCLES.add(result.precond_calls);
+        for outcome in &result.outcomes {
+            model::CG_ITERS.record(outcome.stats(SURROGATE_CG_MAX_ITERS).0 as u64);
+        }
+        if k > 1 {
+            model::record_batch(n, "surrogate", &result, &tols);
+        }
+    }
+
+    /// Fills `s.rhs1` with the level-`l1` right-hand sides of `powers`,
+    /// interleaved `[node][rhs]`: restricted injected power plus the
+    /// precomputed ambient anchor. Each map is restricted on its own (into
+    /// `s.planes` when there are several) and then interleaved.
+    fn fill_rhs1(&self, powers: &[&PowerMap], s: &mut SurrogateScratch) {
+        let lvl1 = self.mg.level(self.l1);
+        let n1 = lvl1.n();
+        let planes = if powers.len() == 1 { &mut s.rhs1 } else { &mut s.planes };
+        planes.clear();
+        planes.resize(n1 * powers.len(), 0.0);
+        for (plane, power) in planes.chunks_exact_mut(n1).zip(powers) {
+            if self.l1 == 0 {
+                plane.copy_from_slice(&power.watts);
+            } else {
+                self.mg.level(0).restrict_to(lvl1, &power.watts, plane, self.lanes, 1);
+            }
+            for (r, &a) in plane.iter_mut().zip(&self.amb1) {
+                *r += a;
+            }
+        }
+        if powers.len() > 1 {
+            let planes: Vec<Option<&[f64]>> = s.planes.chunks_exact(n1).map(Some).collect();
+            solver::interleave(&planes, n1, 0.0, &mut s.rhs1);
+        }
     }
 }
 
@@ -564,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn paired_solves_match_serial_bit_for_bit() {
+    fn paired_solves_match_single_bit_for_bit() {
         for lanes in [1usize, 2, 8] {
             let mut m = production_model(64);
             m.set_parallel_lanes(lanes);
@@ -591,7 +495,7 @@ mod tests {
     }
 
     #[test]
-    fn paired_shallow_path_matches_serial() {
+    fn paired_shallow_path_matches_single() {
         let m = StackBuilder::new(4e-3, 4e-3, 8, 8)
             .layer("die", 150e-6, 120.0)
             .layer("lid", 300e-6, 200.0)

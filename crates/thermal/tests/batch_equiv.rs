@@ -1,11 +1,11 @@
-//! Batched-equals-serial suite: `solve_batch` must reproduce serial
-//! `solve()` *byte for byte* — fields and per-system CG iteration counts —
-//! for any stack, power map, batch size, and pool lane count. The batched
+//! Batched-equals-serial suite: `solve_batch` must reproduce one-at-a-time
+//! `solve()` calls *byte for byte* — fields and per-system CG iteration
+//! counts — for any stack, power map, batch size, and pool lane count. The
 //! engine advances k independent CG recurrences in lockstep and retires
 //! each the iteration it converges, so every right-hand side performs the
-//! exact arithmetic sequence of a serial solve; these tests pin that
-//! contract from the public API, with the trace stream as the witness for
-//! iteration counts.
+//! exact arithmetic sequence of its width-1 solve (whose bits
+//! `solver_equiv.rs` pins); these tests pin that contract from the public
+//! API, with the trace stream as the witness for iteration counts.
 
 use std::sync::Mutex;
 
@@ -151,8 +151,8 @@ fn batched_solves_match_serial_on_random_stacks() {
                     "thermal.batch retire_iters {retires:?} != serial iters {si:?}"
                 );
             } else {
-                // Single-system batches delegate to the serial path and
-                // must not pretend to have batched anything.
+                // A single-system batch is a width-1 solve and must not
+                // pretend to have batched anything.
                 prop_assert!(retires.is_empty(), "k=1 emitted thermal.batch {retires:?}");
             }
             Ok(())
