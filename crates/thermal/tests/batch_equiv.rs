@@ -9,7 +9,7 @@
 
 use std::sync::Mutex;
 
-use tesa_thermal::{BatchSolveRequest, PowerMap, Rect, StackBuilder, ThermalModel};
+use tesa_thermal::{BatchSolveRequest, PowerMap, Preconditioner, Rect, StackBuilder, ThermalModel};
 use tesa_util::json::{self, Json};
 use tesa_util::prop_assert;
 use tesa_util::propcheck::{check, ranged, vec_of, Config};
@@ -52,7 +52,7 @@ fn batch_retires(text: &str) -> Vec<Vec<u64>> {
 }
 
 /// A 2.5D stack: interposer, device, TIM, lid.
-fn stack_2d(nx: usize, ny: usize) -> ThermalModel {
+fn stack_2d(nx: usize, ny: usize, precond: Preconditioner) -> ThermalModel {
     let chips: Vec<(Rect, f64)> = (0..4)
         .map(|i| {
             let x = 1.0e-3 + f64::from(i % 2) * 3.4e-3;
@@ -61,6 +61,7 @@ fn stack_2d(nx: usize, ny: usize) -> ThermalModel {
         })
         .collect();
     StackBuilder::new(8e-3, 8e-3, nx, ny)
+        .preconditioner(precond)
         .layer("interposer", 100e-6, 120.0)
         .layer_with_patches("device", 150e-6, 0.9, chips)
         .layer("tim", 65e-6, 1.2)
@@ -70,7 +71,7 @@ fn stack_2d(nx: usize, ny: usize) -> ThermalModel {
 }
 
 /// A 3D stack: two bonded device tiers under the TIM and lid.
-fn stack_3d(nx: usize, ny: usize) -> ThermalModel {
+fn stack_3d(nx: usize, ny: usize, precond: Preconditioner) -> ThermalModel {
     let chips: Vec<(Rect, f64)> = (0..6)
         .map(|i| {
             let x = 0.8e-3 + f64::from(i % 3) * 2.5e-3;
@@ -79,6 +80,7 @@ fn stack_3d(nx: usize, ny: usize) -> ThermalModel {
         })
         .collect();
     StackBuilder::new(8e-3, 8e-3, nx, ny)
+        .preconditioner(precond)
         .layer("interposer", 100e-6, 120.0)
         .layer_with_patches("sram_tier", 150e-6, 0.9, chips.clone())
         .layer("bond", 20e-6, 1.2)
@@ -99,15 +101,22 @@ fn batched_solves_match_serial_on_random_stacks() {
             ranged(12usize..40),
             ranged(0usize..2),  // 0 = 2.5D stack, 1 = two-tier 3D stack
             ranged(1usize..17), // batch size
-            ranged(0usize..3),  // index into the lane presets {1, 2, 8}
+            (
+                ranged(0usize..3), // index into the lane presets {1, 2, 8}
+                // 0 = Auto (Jacobi on these grids, all below the multigrid
+                // cutoff), 1 = forced multigrid: the V-cycle path of sweeps.
+                ranged(0usize..2),
+            ),
             vec_of(
                 (ranged(0.0f64..6.5e-3), ranged(0.0f64..6.5e-3), ranged(0.2f64..4.0)),
                 1..5,
             ),
         ),
-        |(nx, ny, is3d, k, lane_idx, sources)| {
+        |(nx, ny, is3d, k, (lane_idx, mg), sources)| {
             let lanes = [1usize, 2, 8][lane_idx];
-            let mut m = if is3d == 1 { stack_3d(nx, ny) } else { stack_2d(nx, ny) };
+            let precond = [Preconditioner::Auto, Preconditioner::Multigrid][mg];
+            let mut m =
+                if is3d == 1 { stack_3d(nx, ny, precond) } else { stack_2d(nx, ny, precond) };
             m.set_parallel_lanes(lanes);
 
             // k power maps sharing the random source layout, with
@@ -132,7 +141,7 @@ fn batched_solves_match_serial_on_random_stacks() {
                     prop_assert!(
                         u.to_bits() == v.to_bits(),
                         "system {s}/{k} field bytes diverged on {nx}x{ny} \
-                         (3d={is3d}, lanes={lanes}): {u} vs {v}"
+                         (3d={is3d}, lanes={lanes}, {precond:?}): {u} vs {v}"
                     );
                 }
             }
@@ -142,7 +151,7 @@ fn batched_solves_match_serial_on_random_stacks() {
             prop_assert!(
                 si == bi,
                 "per-system iteration counts diverged on {nx}x{ny} (batch {k}, \
-                 lanes {lanes}): serial {si:?} vs batched {bi:?}"
+                 lanes {lanes}, {precond:?}): serial {si:?} vs batched {bi:?}"
             );
             let retires = batch_retires(&bt);
             if k > 1 {
@@ -163,7 +172,7 @@ fn batched_solves_match_serial_on_random_stacks() {
 #[test]
 fn recoverable_batch_matches_serial_with_warm_starts() {
     let _guard = TRACE_LOCK.lock().expect("trace lock poisoned");
-    let mut m = stack_2d(32, 32);
+    let mut m = stack_2d(32, 32, Preconditioner::Auto);
     m.set_parallel_lanes(2);
     let maps: Vec<PowerMap> = (0..5)
         .map(|s| {
