@@ -110,6 +110,27 @@ fn main() {
         runner.bench("thermal/batch/2d_4layer/64/batch8", || m.solve_batch(&refs));
     }
 
+    // The width the validation sweep runs: its lockstep groups are 3D
+    // stacks of about four designs. Informational rows, no gate: four
+    // single solves (`batch1_x4`) against one batch of four (`batch4`).
+    {
+        let m = model_3d(64);
+        let maps: Vec<_> = (0..4)
+            .map(|i| {
+                let mut p = m.zero_power();
+                let w = 1.3 + 0.1 * f64::from(i);
+                p.add_uniform_rect(3, Rect::new(0.8e-3, 1.2e-3, 1.8e-3, 1.8e-3), w);
+                p.add_uniform_rect(1, Rect::new(0.8e-3, 1.2e-3, 1.8e-3, 1.8e-3), 0.5);
+                p
+            })
+            .collect();
+        let refs: Vec<&_> = maps.iter().collect();
+        runner.bench("thermal/batch/3d_6layer/64/batch1_x4", || {
+            maps.iter().map(|p| m.solve(p)).collect::<Vec<_>>()
+        });
+        runner.bench("thermal/batch/3d_6layer/64/batch4", || m.solve_batch(&refs));
+    }
+
     let m = model_2d(64);
     let mut p = m.zero_power();
     p.add_uniform_rect(1, Rect::new(1.0e-3, 1.0e-3, 2.4e-3, 2.4e-3), 2.0);

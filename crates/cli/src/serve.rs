@@ -42,7 +42,7 @@ use tesa::eval::{EvalOptions, Evaluator};
 use tesa::session::{self, ApiError, Query, Session};
 use tesa::Objective;
 use tesa_util::http::{self, Request, Response};
-use tesa_util::{json, metrics, trace, Json};
+use tesa_util::{faultpoint, json, metrics, trace, Json};
 use tesa_workloads::arvr_suite;
 
 /// Per-connection socket timeout. Evaluations take milliseconds and
@@ -247,10 +247,21 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
     for stream in listener.incoming() {
         match stream {
             Ok(stream) => {
-                let daemon = Arc::clone(&daemon);
-                std::thread::Builder::new()
-                    .name("serve-conn".into())
-                    .spawn(move || handle_connection(&daemon, stream))?;
+                // A failed spawn (thread exhaustion) costs this connection,
+                // which closes when the unstarted closure drops, and never
+                // the daemon.
+                let spawned = if faultpoint::fire("serve.conn.spawn") {
+                    Err(std::io::Error::other("injected fault at serve.conn.spawn"))
+                } else {
+                    let daemon = Arc::clone(&daemon);
+                    std::thread::Builder::new()
+                        .name("serve-conn".into())
+                        .spawn(move || handle_connection(&daemon, stream))
+                        .map(drop)
+                };
+                if let Err(e) = spawned {
+                    eprintln!("tesa serve: dropped a connection, thread spawn failed: {e}");
+                }
             }
             Err(e) => eprintln!("tesa serve: accept failed: {e}"),
         }

@@ -167,6 +167,30 @@ fn healthz_stats_and_unknown_routes_respond() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed connection-thread spawn costs only that connection: with the
+/// first spawn forced to fail (`serve.conn.spawn=nth:1`), the first request
+/// gets no answer and the daemon keeps accepting.
+#[test]
+fn failed_connection_spawn_drops_only_that_connection() {
+    let bin = tesa_bin();
+    let dir = temp_dir("spawn");
+    let daemon = Daemon::start(&bin, &dir, &["--faultpoints", "serve.conn.spawn=nth:1"]);
+    let timeout = Duration::from_secs(30);
+
+    let lost = http::get(&daemon.addr, "/healthz", timeout);
+    assert!(
+        lost.is_err(),
+        "the first connection must be dropped, got {:?}",
+        lost.map(|r| r.status)
+    );
+    let health = http::get(&daemon.addr, "/healthz", timeout).expect("the daemon keeps serving");
+    assert_eq!(health.status, 200);
+    assert!(health.body_str().unwrap().contains("\"ok\":true"));
+
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn evaluate_and_screen_byte_match_the_one_shot_cli() {
     let bin = tesa_bin();
