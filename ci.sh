@@ -30,8 +30,8 @@ cargo test -q --offline --release --test serve_smoke
 
 # Serial-fallback regression guard: the tier-1 suite must pass with the
 # worker pool pinned to one lane. TESA_THREADS=1 takes every pooled hot
-# loop (thermal kernels, sweep, speculation) down its inline path, so a
-# bug hiding behind "the pool happened to run it" fails here. The
+# loop (thermal kernels, sweep, evaluation batches) down its inline path,
+# so a bug hiding behind "the pool happened to run it" fails here. The
 # thread_invariance suite sets TESA_THREADS explicitly for its child
 # processes, so this blanket override does not weaken its 1/2/8 matrix.
 TESA_THREADS=1 cargo test -q --offline --release
@@ -104,10 +104,10 @@ cargo run -q --offline --release -p tesa-bench --bin bench_guard -- \
     BENCH_serve.json \
     --speedup "serve/evaluate/cold=serve/metrics_scrape" \
     --min-speedup "${TESA_BENCH_MIN_SCRAPE_SPEEDUP:-1.0}"
-# Disabled-path overhead gate: the warm-cache benchmarks run with tracing,
-# screening, and speculation all off — and, since the observability PR,
-# with the always-on metrics registry recording on every temperature step,
-# memo lookup, and thermal solve — so a regression here means the new
+# Disabled-path overhead gate: the warm-cache benchmarks run with tracing
+# and screening off — and, since the observability PR, with the always-on
+# metrics registry recording on every temperature step, memo lookup, and
+# thermal solve — so a regression here means the new
 # machinery (now including metrics record cost) exceeds the tolerance even
 # when nobody asked for it. bench_serve's metrics/record_x1000 row tracks
 # the raw per-touch cost for triage when this gate trips.
@@ -142,9 +142,8 @@ else
 fi
 # Enabled-path speedup gates, all *within this run's artifact* so they
 # are immune to cross-run machine drift. They only bind on runners with
-# enough cores; on narrower machines the pool runs (or speculation
-# auto-disables to) the serial path and the disabled-path guard above is
-# the binding check.
+# enough cores; on narrower machines the pool runs the serial path and
+# the disabled-path guard above is the binding check.
 if [[ "$(nproc)" -ge 4 ]]; then
     # Parallel thermal kernels: the default-lanes production-size solve
     # must beat its own single-lane variant by >=1.5x, for both stacks.
@@ -163,14 +162,14 @@ if [[ "$(nproc)" -ge 4 ]]; then
         BENCH_thermal.json \
         --speedup "thermal/batch/2d_4layer/64/batch1_x8=thermal/batch/2d_4layer/64/batch8" \
         --min-speedup "${TESA_BENCH_MIN_BATCH_SPEEDUP:-1.5}"
-    # Screening + speculation must pay for themselves: the spec variant
-    # is never allowed to be slower than the serial cold-cache anneal
-    # (min-speedup 1.0 — the accelerations auto-disable when they cannot
-    # win, so "at least break even" is the invariant worth pinning).
+    # Screening must pay for itself: the screened cold-cache anneal is
+    # never allowed to be slower than the unscreened one (min-speedup 1.0
+    # — the screening gate switches itself off when the surrogate stops
+    # rejecting, so "at least break even" is the invariant worth pinning).
     cargo run -q --offline --release -p tesa-bench --bin bench_guard -- \
         BENCH_anneal.json \
-        --speedup "anneal/msa_small_space_cold_cache=anneal/msa_small_space_cold_cache_spec" \
+        --speedup "anneal/msa_small_space_cold_cache=anneal/msa_small_space_cold_cache_screened" \
         --min-speedup "${TESA_BENCH_MIN_SPEEDUP:-1.0}"
 else
-    echo "bench_guard: <4 cores — thermal and speculative speedup gates skipped"
+    echo "bench_guard: <4 cores — thermal, batch and screening speedup gates skipped"
 fi

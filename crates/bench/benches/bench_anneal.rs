@@ -35,7 +35,7 @@ fn main() {
         init_attempts: 30,
         seed: 3,
         screening: false,
-        speculation: 0,
+        ..MsaConfig::default()
     };
     let constraints = Constraints::edge_device(15.0, 85.0);
     let objective = Objective::balanced();
@@ -83,16 +83,13 @@ fn main() {
         )
     });
 
-    // The same cold-cache workload with the two-tier accelerations on:
-    // surrogate screening short-circuits clearly-infeasible candidates,
-    // and speculative pre-evaluation warms the cache from a work-stealing
-    // pool while the serial chain replays. The trajectory (and best
-    // design) is bit-identical to `cold_cache`; only the wall time moves.
-    // `ci.sh` gates the ratio of the two medians via bench_guard's
-    // `--speedup` mode.
-    let spec_config =
-        MsaConfig { screening: true, speculation: 8, ..cold_config.clone() };
-    runner.bench("anneal/msa_small_space_cold_cache_spec", || {
+    // The same cold-cache workload with surrogate screening on: the
+    // screen short-circuits clearly-infeasible candidates. The trajectory
+    // (and best design) is bit-identical to `cold_cache`; only the wall
+    // time moves. `ci.sh` gates the ratio of the two medians via
+    // bench_guard's `--speedup` mode.
+    let screened_config = MsaConfig { screening: true, ..cold_config.clone() };
+    runner.bench("anneal/msa_small_space_cold_cache_screened", || {
         let evaluator =
             Evaluator::new(arvr_suite(), EvalOptions { lazy: true, ..EvalOptions::default() });
         optimize(
@@ -102,7 +99,7 @@ fn main() {
             400,
             &constraints,
             &objective,
-            &spec_config,
+            &screened_config,
         )
     });
 

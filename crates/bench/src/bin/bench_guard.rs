@@ -20,11 +20,11 @@
 //! immune to cross-run machine drift.
 //!
 //! `ci.sh` uses the two-file form as the disabled-path overhead guard
-//! (the traced-off, speculation-off `bench_anneal` medians of the current
+//! (the traced-off, screening-off `bench_anneal` medians of the current
 //! build must stay within tolerance of the previous build's
 //! `BENCH_anneal.json`), and the `--speedup` form to require — on
-//! multi-core runners — that the screened+speculative cold-cache anneal
-//! beats the serial one, that the pooled thermal kernels beat their
+//! multi-core runners — that the screened cold-cache anneal breaks even
+//! against the unscreened one, that the pooled thermal kernels beat their
 //! single-lane variants, and that a lockstep multi-RHS batch of eight
 //! thermal solves beats eight serial solves of the same systems.
 

@@ -161,7 +161,6 @@ pub fn cmd_optimize(args: &Args) -> Result<String, CliError> {
     let mut msa = MsaConfig::default();
     msa.seed = args.get_or("seed", msa.seed)?;
     msa.screening = args.get_or("screening", msa.screening)?;
-    msa.speculation = args.get_or("speculation", msa.speculation)?;
     msa.t_init = args.get_or("t-init", msa.t_init)?;
     msa.t_final = args.get_or("t-final", msa.t_final)?;
     msa.moves_per_temp = args.get_or("moves-per-temp", msa.moves_per_temp)?;
@@ -488,7 +487,6 @@ COMMON FLAGS:
     --out PATH        write CSV output to a file
     --seed N          optimizer RNG seed (optimize)
     --screening B     surrogate-screen moves, true|false (optimize) [default: false]
-    --speculation K   pre-evaluate K lookahead moves (optimize) [default: 0]
     --deltas A,B,..   per-start cooling factors (optimize)
     --t-init T        initial annealing temperature (optimize)
     --t-final T       final annealing temperature (optimize)

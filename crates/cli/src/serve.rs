@@ -627,8 +627,6 @@ fn execute_campaign(daemon: &Arc<Daemon>, name: &str, body: &Json) -> Result<Str
     msa.seed = session::optional_u64(body, "campaign", "seed")?.unwrap_or(msa.seed);
     msa.screening =
         session::optional_bool(body, "campaign", "screening")?.unwrap_or(msa.screening);
-    msa.speculation = session::optional_u64(body, "campaign", "speculation")?
-        .unwrap_or(msa.speculation as u64) as usize;
     msa.t_init = session::optional_f64(body, "campaign", "t_init")?.unwrap_or(msa.t_init);
     msa.t_final = session::optional_f64(body, "campaign", "t_final")?.unwrap_or(msa.t_final);
     msa.moves_per_temp = session::optional_u64(body, "campaign", "moves_per_temp")?
@@ -821,7 +819,6 @@ fn campaign_body(args: &Args) -> Result<Json, CliError> {
     let mut msa = MsaConfig::default();
     msa.seed = args.get_or("seed", msa.seed)?;
     msa.screening = args.get_or("screening", msa.screening)?;
-    msa.speculation = args.get_or("speculation", msa.speculation)?;
     msa.t_init = args.get_or("t-init", msa.t_init)?;
     msa.t_final = args.get_or("t-final", msa.t_final)?;
     msa.moves_per_temp = args.get_or("moves-per-temp", msa.moves_per_temp)?;
@@ -852,7 +849,6 @@ fn campaign_body(args: &Args) -> Result<Json, CliError> {
         ("freq_mhz", Json::u64(args.get_or("freq", 400u32)?)),
         ("seed", Json::u64(msa.seed)),
         ("screening", Json::Bool(msa.screening)),
-        ("speculation", Json::u64(msa.speculation as u64)),
         ("t_init", Json::f64(msa.t_init)),
         ("t_final", Json::f64(msa.t_final)),
         ("moves_per_temp", Json::u64(msa.moves_per_temp)),

@@ -195,14 +195,6 @@ impl Summary {
         (decisive + ambiguous > 0.0).then(|| decisive / (decisive + ambiguous))
     }
 
-    /// Fraction of speculative pre-evaluations the serial replay actually
-    /// consumed, in `[0, 1]`, if any speculation ran.
-    pub fn spec_hit_ratio(&self) -> Option<f64> {
-        let used = self.counter_total("msa.spec.used");
-        let wasted = self.counter_total("msa.spec.wasted");
-        (used + wasted > 0.0).then(|| used / (used + wasted))
-    }
-
     /// The machine-readable report behind `trace summarize --format json`:
     /// the same aggregates `render` prints, as one JSON object.
     pub fn to_json(&self) -> Json {
@@ -248,7 +240,6 @@ impl Summary {
             ),
             ("cache_hit_ratio", ratio(self.cache_hit_ratio())),
             ("screen_decisive_ratio", ratio(self.screen_decisive_ratio())),
-            ("spec_hit_ratio", ratio(self.spec_hit_ratio())),
             (
                 "cg",
                 Json::obj([
@@ -368,15 +359,6 @@ impl Summary {
             ));
         }
 
-        if let Some(ratio) = self.spec_hit_ratio() {
-            out.push_str(&format!(
-                "\nspeculation: {} pre-evaluations used / {} wasted ({:.1}% hit rate)\n",
-                self.counter_total("msa.spec.used") as u64,
-                self.counter_total("msa.spec.wasted") as u64,
-                100.0 * ratio
-            ));
-        }
-
         if self.cg_solves > 0 {
             out.push_str(&format!(
                 "\nthermal CG: {} solves, mean {:.1} / max {} iterations, {} warm-started\n",
@@ -419,11 +401,7 @@ impl Summary {
         let misc: Vec<_> = self
             .counters
             .iter()
-            .filter(|(k, _)| {
-                !k.starts_with("eval.cache.")
-                    && !k.starts_with("eval.surrogate.")
-                    && !k.starts_with("msa.spec.")
-            })
+            .filter(|(k, _)| !k.starts_with("eval.cache.") && !k.starts_with("eval.surrogate."))
             .collect();
         if !misc.is_empty() {
             out.push_str("\ncounters:\n");
@@ -469,10 +447,6 @@ mod tests {
             r#"{"ts_us":13,"tid":0,"kind":"counter","name":"eval.surrogate.screened","value":1}"#,
             r#"{"ts_us":14,"tid":0,"kind":"counter","name":"eval.surrogate.screened","value":1}"#,
             r#"{"ts_us":15,"tid":0,"kind":"counter","name":"eval.surrogate.ambiguous","value":1}"#,
-            r#"{"ts_us":16,"tid":1,"kind":"counter","name":"msa.spec.used","value":1}"#,
-            r#"{"ts_us":17,"tid":1,"kind":"counter","name":"msa.spec.used","value":1}"#,
-            r#"{"ts_us":18,"tid":1,"kind":"counter","name":"msa.spec.used","value":1}"#,
-            r#"{"ts_us":19,"tid":1,"kind":"counter","name":"msa.spec.wasted","value":2}"#,
         ]
         .join("\n")
     }
@@ -480,17 +454,15 @@ mod tests {
     #[test]
     fn aggregates_the_headline_ratios() {
         let s = Summary::from_jsonl(&sample_trace()).expect("valid trace");
-        assert_eq!(s.events, 21);
+        assert_eq!(s.events, 17);
         assert_eq!(s.threads.len(), 2);
         assert!((s.msa_acceptance_rate().unwrap() - 0.4).abs() < 1e-12);
         assert!((s.cache_hit_ratio().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!((s.mean_cg_iters().unwrap() - 8.0).abs() < 1e-12);
         assert_eq!(s.cg_warm, 1);
         assert_eq!(s.cg_iters_max, 12);
-        // 3 decisive screens vs 1 ambiguous; 3 speculations used vs 2 wasted
-        // (the wasted counter carries the flushed batch size as its value).
+        // 3 decisive screens vs 1 ambiguous.
         assert!((s.screen_decisive_ratio().unwrap() - 0.75).abs() < 1e-12);
-        assert!((s.spec_hit_ratio().unwrap() - 0.6).abs() < 1e-12);
         // Two thermal.batch events: 3 + 2 systems, 40 + 30 fused sweeps,
         // retire iterations totalling 60 over 5 systems.
         assert_eq!(s.batch_count, 2);
@@ -511,7 +483,6 @@ mod tests {
             "T=19",
             "evaluator cache: 2 hits / 1 misses",
             "surrogate screen: 3 decisive / 1 ambiguous (75.0% skipped the exact solve)",
-            "speculation: 3 pre-evaluations used / 2 wasted (60.0% hit rate)",
             "thermal CG: 2 solves",
             "preconditioner multigrid: 2 solves",
             "leakage co-iteration: 1 phases",
@@ -523,7 +494,6 @@ mod tests {
         }
         // Sectioned counters must not repeat in the generic counters table.
         assert!(!r.contains("eval.surrogate.screened:"), "{r}");
-        assert!(!r.contains("msa.spec.used:"), "{r}");
     }
 
     #[test]
@@ -559,7 +529,7 @@ mod tests {
     fn malformed_line_is_reported_with_its_number() {
         let text = format!("{}\nnot json\n", sample_trace());
         let err = Summary::from_jsonl(&text).expect_err("must fail");
-        assert!(err.starts_with("line 22:"), "{err}");
+        assert!(err.starts_with("line 18:"), "{err}");
     }
 
     #[test]

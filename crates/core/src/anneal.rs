@@ -19,7 +19,7 @@ use crate::objective::Objective;
 use crate::progress::CampaignProgress;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use tesa_util::{faultpoint, metrics, pool, trace, Json, Rng};
+use tesa_util::{faultpoint, metrics, trace, Json, Rng};
 
 // Always-on aggregate telemetry (exported by `tesa serve` on
 // `GET /metrics`). Updated once per temperature step or checkpoint write
@@ -78,18 +78,16 @@ pub struct MsaConfig {
     /// accept/reject trajectory is bit-identical to the unscreened run;
     /// only [`AnnealOutcome::evaluations`] shrinks.
     pub screening: bool,
-    /// Speculative lookahead: pre-evaluate up to this many predicted
-    /// upcoming candidates concurrently (on a work-stealing pool) to warm
-    /// the evaluation cache, then replay the moves serially. `0` disables
-    /// speculation. The trajectory is bit-identical to the serial chain
-    /// regardless of prediction accuracy — mispredictions only waste
-    /// background work (traced as `msa.spec.wasted`). On a machine with
-    /// no spare core per start, speculation auto-disables: serialized
-    /// mispredictions would cost wall time instead of hiding it.
+    /// Ignored. This was the depth of a speculative lookahead that
+    /// pre-evaluated predicted moves on the worker pool; it never beat
+    /// the plain serial chain and was removed. Set it through
+    /// `..MsaConfig::default()`, or not at all.
+    #[deprecated(note = "speculation was removed; the annealer ignores this field")]
     pub speculation: usize,
 }
 
 impl Default for MsaConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             deltas: vec![0.89, 0.87, 0.85],
@@ -270,8 +268,7 @@ impl CheckpointSink {
 /// Hash of everything that shapes a campaign's trajectory and counters.
 /// Two campaigns with equal fingerprints and seeds produce bit-identical
 /// results, so a checkpoint may only be resumed by a campaign with the
-/// same fingerprint. Speculation is deliberately excluded — it warms
-/// caches without touching the trajectory or any reported counter.
+/// same fingerprint.
 fn campaign_fingerprint(
     evaluator: &Evaluator,
     space: &DesignSpace,
@@ -363,18 +360,6 @@ fn restore_outcome(
 /// by the cheap exact pipeline are free either way and never counted.)
 const SCREEN_MISS_LIMIT: u32 = 8;
 
-/// Speculative predictions the chain loop must have issued before the
-/// wasted-ratio check may disable speculation — fewer samples would read
-/// startup noise (the first window always mispredicts an accepted move).
-const SPEC_PROBE_MIN: u64 = 16;
-
-/// Minimum fraction of issued predictions the serial replay must consume
-/// for speculation to keep running. Below this the move predictor is
-/// persistently desynchronized (high accept rate, frequent off-space
-/// moves) and the pool work is almost all wasted — traced as
-/// `msa.spec.wasted` — so the chain stops issuing it.
-const SPEC_MIN_USED: f64 = 0.25;
-
 /// Adaptive screening gate for one annealing start.
 ///
 /// The pre-screen pays for itself only while its *surrogate thermal
@@ -395,52 +380,29 @@ const SPEC_MIN_USED: f64 = 0.25;
 ///   of candidates the evaluator would reject as infeasible anyway, so
 ///   the accepted chain is identical with screening on, off, or switched
 ///   off midway. Only the evaluation count moves.
-/// * **Deterministic.** The counters advance only on the serial chain's
-///   own screens — never on speculative warm-ups, which depend on the
-///   machine's core count — and infeasible-only verdicts are a pure
-///   function of the design. The same seed therefore disables the gate
-///   at the same move on any machine and any `TESA_THREADS`. The gate's
-///   state is checkpointed with each snapshot so a resumed run continues
-///   the count instead of restarting it.
-///
-/// The fields are atomics only because the speculative warm-up closure
-/// (which runs on pool workers) reads `enabled` while the serial chain
-/// owns every update; there are no concurrent writers, so relaxed
-/// ordering suffices throughout.
+/// * **Deterministic.** Infeasible-only verdicts, and the stage that
+///   settled them, are a pure function of the design. The same seed
+///   therefore disables the gate at the same move on any machine and any
+///   `TESA_THREADS`. The gate's state is checkpointed with each snapshot
+///   so a resumed run continues the count instead of restarting it.
 struct ScreenGate {
-    enabled: std::sync::atomic::AtomicBool,
-    misses: std::sync::atomic::AtomicU32,
+    enabled: bool,
+    misses: u32,
     /// Serial screens seen during initialization (while `in_init` holds;
     /// [`ScreenGate::end_init`] consumes these).
-    init_screens: std::sync::atomic::AtomicU32,
-    init_rejects: std::sync::atomic::AtomicU32,
-    in_init: std::sync::atomic::AtomicBool,
+    init_screens: u32,
+    init_rejects: u32,
+    in_init: bool,
 }
 
 impl ScreenGate {
     fn new(screening: bool) -> Self {
-        Self {
-            enabled: std::sync::atomic::AtomicBool::new(screening),
-            misses: std::sync::atomic::AtomicU32::new(0),
-            init_screens: std::sync::atomic::AtomicU32::new(0),
-            init_rejects: std::sync::atomic::AtomicU32::new(0),
-            in_init: std::sync::atomic::AtomicBool::new(true),
-        }
+        Self { enabled: screening, misses: 0, init_screens: 0, init_rejects: 0, in_init: true }
     }
 
     /// Restores the gate mid-chain from a checkpoint snapshot.
     fn resume(screen_on: bool, screen_misses: u32) -> Self {
-        let gate = Self::new(screen_on);
-        gate.misses.store(screen_misses, std::sync::atomic::Ordering::Relaxed);
-        gate.in_init.store(false, std::sync::atomic::Ordering::Relaxed);
-        gate
-    }
-
-    /// Whether speculative warm-ups should bother screening. Readable
-    /// from pool workers; purely advisory for them (a stale read costs
-    /// one redundant screen, never a wrong result).
-    fn active(&self) -> bool {
-        self.enabled.load(std::sync::atomic::Ordering::Relaxed)
+        Self { misses: screen_misses, in_init: false, ..Self::new(screen_on) }
     }
 
     /// Screens `design` on the serial chain. Returns `true` when the
@@ -449,32 +411,30 @@ impl ScreenGate {
     /// surrogate-stage outcomes move the counters — cheap-stage verdicts
     /// cost (and save) nothing worth tracking.
     fn rejects(
-        &self,
+        &mut self,
         evaluator: &Evaluator,
         design: &McmDesign,
         constraints: &Constraints,
     ) -> bool {
-        use std::sync::atomic::Ordering::Relaxed;
-        if !self.enabled.load(Relaxed) {
+        if !self.enabled {
             return false;
         }
-        let (verdict, surrogate) = evaluator.screen_chain(design, constraints);
+        let (verdict, surrogate) = evaluator.screen_mode(design, constraints, false);
         let rejected = verdict == ScreenVerdict::ClearlyInfeasible;
         if !surrogate {
             return rejected;
         }
-        if self.in_init.load(Relaxed) {
-            self.init_screens.fetch_add(1, Relaxed);
-            self.init_rejects.fetch_add(u32::from(rejected), Relaxed);
+        if self.in_init {
+            self.init_screens += 1;
+            self.init_rejects += u32::from(rejected);
             return rejected;
         }
         if rejected {
-            self.misses.store(0, Relaxed);
+            self.misses = 0;
         } else {
-            let m = self.misses.load(Relaxed) + 1;
-            self.misses.store(m, Relaxed);
-            if m >= SCREEN_MISS_LIMIT {
-                self.enabled.store(false, Relaxed);
+            self.misses += 1;
+            if self.misses >= SCREEN_MISS_LIMIT {
+                self.enabled = false;
                 trace::counter("msa.screen.disabled", 1.0);
             }
         }
@@ -487,22 +447,17 @@ impl ScreenGate {
     /// carve off cheaply — and the chain explores an even friendlier
     /// neighborhood — so turn screening off before it costs anything
     /// more.
-    fn end_init(&self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.in_init.store(false, Relaxed);
-        if self.enabled.load(Relaxed)
-            && self.init_screens.load(Relaxed) > 0
-            && self.init_rejects.load(Relaxed) == 0
-        {
-            self.enabled.store(false, Relaxed);
+    fn end_init(&mut self) {
+        self.in_init = false;
+        if self.enabled && self.init_screens > 0 && self.init_rejects == 0 {
+            self.enabled = false;
             trace::counter("msa.screen.disabled", 1.0);
         }
     }
 
     /// `(enabled, misses)` for checkpointing.
     fn state(&self) -> (bool, u32) {
-        use std::sync::atomic::Ordering::Relaxed;
-        (self.enabled.load(Relaxed), self.misses.load(Relaxed))
+        (self.enabled, self.misses)
     }
 }
 
@@ -510,7 +465,7 @@ impl ScreenGate {
 /// feasible (or attempts run out), updating `out`'s counters and visited
 /// list. Returns the chain's first `(design, score)`.
 #[allow(clippy::too_many_arguments)]
-fn init_start<S, W, F>(
+fn init_start<S>(
     evaluator: &Evaluator,
     space: &DesignSpace,
     integration: Integration,
@@ -521,50 +476,16 @@ fn init_start<S, W, F>(
     delta: f64,
     rng: &mut Rng,
     out: &mut StartOutcome,
-    gate: &ScreenGate,
-    spec: usize,
-    spec_threads: usize,
-    spec_pending: &mut std::collections::HashSet<McmDesign>,
-    warm: &W,
-    flush_spec: &F,
+    gate: &mut ScreenGate,
 ) -> Option<(McmDesign, f64)>
 where
     S: Fn(&McmEvaluation) -> f64 + Sync,
-    W: Fn(&McmDesign) + Sync,
-    F: Fn(&mut std::collections::HashSet<McmDesign>) -> usize,
 {
     let mut current: Option<(McmDesign, f64)> = None;
     let mut init_attempts_used = 0u32;
-    for a in 0..config.init_attempts {
-        if spec > 0 && (a as usize).is_multiple_of(spec) {
-            flush_spec(spec_pending);
-            // The draw sequence is exactly predictable (each attempt
-            // consumes three RNG draws), so simulate it on a clone.
-            let win = spec.min((config.init_attempts - a) as usize);
-            let mut sim = rng.clone();
-            let mut batch: Vec<McmDesign> = Vec::with_capacity(win);
-            for _ in 0..win {
-                let d = random_design(space, integration, freq_mhz, &mut sim);
-                if spec_pending.insert(d) {
-                    batch.push(d);
-                }
-            }
-            if batch.len() >= 2 {
-                pool::for_each_dynamic(spec_threads, batch.len(), |i| warm(&batch[i]));
-            } else {
-                // A batch this small has no parallelism to exploit;
-                // warming it inline would just serialize the replay's
-                // own work with extra dispatch on top.
-                for d in &batch {
-                    spec_pending.remove(d);
-                }
-            }
-        }
+    for _ in 0..config.init_attempts {
         let d = random_design(space, integration, freq_mhz, rng);
         init_attempts_used += 1;
-        if spec_pending.remove(&d) {
-            trace::counter("msa.spec.used", 1.0);
-        }
         if gate.rejects(evaluator, &d, constraints) {
             // The screen is sound in this direction: the full evaluation
             // would be rejected as infeasible, so only the evaluation
@@ -619,22 +540,6 @@ where
     start_span.field("delta", Json::F64(delta));
     start_span.field("seed", Json::U64(seed));
 
-    // Worker threads for speculative pre-evaluation: the parallel starts
-    // share the persistent pool (sized by `TESA_THREADS` or the machine's
-    // core count), so each start gets an equal slice of its lanes. With
-    // no idle lane to hide the mispredicted work on, speculation is pure
-    // overhead (every wasted pre-evaluation runs serially, in line), so
-    // it disables itself and the chain falls back to the plain serial
-    // loop — the trajectory is identical either way.
-    let spec_threads = (pool::global().lanes() / config.deltas.len().max(1)).max(1);
-    let mut spec = if spec_threads > 1 { config.speculation } else { 0 };
-    // Prediction bookkeeping for the wasted-ratio auto-disable: how many
-    // candidates the chain loop warmed speculatively, and how many the
-    // serial replay actually consumed. Both derive purely from the
-    // (deterministic) trajectory and the prediction simulator, so the
-    // disable decision cannot vary run to run.
-    let mut spec_issued: u64 = 0;
-    let mut spec_used: u64 = 0;
     // Resume path, stage one: a `Done` snapshot short-circuits the whole
     // start; a `Running` snapshot restores the chain mid-schedule (RNG
     // stream, temperature, current/best, counters, screening gate);
@@ -675,31 +580,6 @@ where
         }
         Some(StartState::Pending) | None => {}
     }
-    // Designs pre-evaluated speculatively but not yet replayed serially.
-    let mut spec_pending: std::collections::HashSet<McmDesign> = std::collections::HashSet::new();
-    // Warms the caches for one predicted design: cheap screen first (when
-    // the gate still allows it), full evaluation only where the serial
-    // replay would also evaluate. Results land in the evaluator's memos;
-    // the replay re-requests them, so the accepted trajectory is
-    // bit-identical whether or not the prediction comes true.
-    let warm = |d: &McmDesign| {
-        if gate.active()
-            && evaluator.screen_infeasible_only(d, constraints) == ScreenVerdict::ClearlyInfeasible
-        {
-            return;
-        }
-        let _ = evaluator.evaluate_cached(d, constraints);
-    };
-    // Drops predictions the replay never consumed, returning how many.
-    let flush_spec = |pending: &mut std::collections::HashSet<McmDesign>| {
-        let wasted = pending.len();
-        if wasted > 0 {
-            trace::counter("msa.spec.wasted", wasted as f64);
-            pending.clear();
-        }
-        wasted
-    };
-
     // Stage two: a fresh (or still-pending) start runs initialization.
     let (mut cur_design, mut cur_score, mut t) = match resumed {
         Some(state) => state,
@@ -715,12 +595,7 @@ where
                 delta,
                 &mut rng,
                 &mut out,
-                &gate,
-                spec,
-                spec_threads,
-                &mut spec_pending,
-                &warm,
-                &flush_spec,
+                &mut gate,
             ) else {
                 // Initialization exhausted its attempts without a feasible
                 // design; snapshot that as Done so a resume skips it.
@@ -757,58 +632,11 @@ where
         // events keep the trace size proportional to the schedule length.
         let (mut accepted, mut rej_infeasible, mut rej_offspace, mut rej_metropolis) =
             (0u32, 0u32, 0u32, 0u32);
-        for m in 0..config.moves_per_temp {
-            if spec > 0 && (m as usize).is_multiple_of(spec) {
-                let _ = flush_spec(&mut spec_pending);
-                // Wasted-ratio auto-disable: once enough predictions are
-                // in, a replay that keeps ignoring them means the
-                // predictor is desynchronized for good — stop paying for
-                // it. The counters are trajectory-derived, so the same
-                // seed disables at the same move everywhere.
-                if spec_issued >= SPEC_PROBE_MIN
-                    && (spec_used as f64) < SPEC_MIN_USED * spec_issued as f64
-                {
-                    spec = 0;
-                    trace::counter("msa.spec.disabled", 1.0);
-                } else {
-                    // Predict the window's candidates by running the move
-                    // generator on a clone of the chain RNG under the
-                    // all-rejected assumption. Accepted moves and
-                    // Metropolis draws desynchronize the clone; stale
-                    // predictions are wasted background work, never wrong
-                    // results.
-                    let win = spec.min((config.moves_per_temp - m) as usize);
-                    let mut sim = rng.clone();
-                    let mut batch: Vec<McmDesign> = Vec::with_capacity(win);
-                    for _ in 0..win {
-                        if let Some(c) = neighbor(&cur_design, space, &mut sim) {
-                            if spec_pending.insert(c) {
-                                batch.push(c);
-                            }
-                        }
-                    }
-                    if batch.len() >= 2 {
-                        pool::for_each_dynamic(spec_threads, batch.len(), |i| warm(&batch[i]));
-                        spec_issued += batch.len() as u64;
-                    } else {
-                        // A degenerate window (every prediction fell off
-                        // the space or was already pending) has no
-                        // parallelism to exploit; warming it inline would
-                        // only serialize the replay's own work.
-                        for d in &batch {
-                            spec_pending.remove(d);
-                        }
-                    }
-                }
-            }
+        for _ in 0..config.moves_per_temp {
             let Some(candidate) = neighbor(&cur_design, space, &mut rng) else {
                 rej_offspace += 1;
                 continue;
             };
-            if spec_pending.remove(&candidate) {
-                spec_used += 1;
-                trace::counter("msa.spec.used", 1.0);
-            }
             if gate.rejects(evaluator, &candidate, constraints) {
                 out.visited.push(candidate);
                 rej_infeasible += 1;
@@ -893,7 +721,6 @@ where
             sink.record(idx, slot);
         }
     }
-    flush_spec(&mut spec_pending);
     if let Some(p) = progress {
         p.start(idx).finish();
     }
@@ -1165,7 +992,7 @@ mod tests {
             init_attempts: 40,
             seed: 7,
             screening: false,
-            speculation: 0,
+            ..MsaConfig::default()
         }
     }
 
@@ -1244,12 +1071,12 @@ mod tests {
     }
 
     #[test]
-    fn screening_and_speculation_preserve_the_trajectory() {
+    fn screening_preserves_the_trajectory() {
         // A tight thermal budget so the space holds clearly infeasible
         // designs: the screen must skip their evaluation without changing
         // which designs are visited, accepted, or reported.
         let constraints = Constraints::edge_device(15.0, 76.0);
-        let run = |screening: bool, speculation: usize| {
+        let run = |screening: bool| {
             let evaluator = Evaluator::new(
                 arvr_suite(),
                 EvalOptions { grid_cells: 32, ..Default::default() },
@@ -1261,15 +1088,15 @@ mod tests {
                 400,
                 &constraints,
                 &crate::objective::Objective::balanced(),
-                &MsaConfig { screening, speculation, ..config() },
+                &MsaConfig { screening, ..config() },
             )
         };
-        let base = run(false, 0);
-        let fast = run(true, 4);
+        let base = run(false);
+        let fast = run(true);
         assert_eq!(
             base.best.as_ref().map(|e| e.design),
             fast.best.as_ref().map(|e| e.design),
-            "screening/speculation must not change the best design"
+            "screening must not change the best design"
         );
         if let (Some(b), Some(f)) = (&base.best, &fast.best) {
             assert_eq!(b.peak_temp_c, f.peak_temp_c, "reported fields stay exact");
@@ -1303,6 +1130,9 @@ mod tests {
 
     #[test]
     fn checkpointing_and_resume_reproduce_the_uninterrupted_run() {
+        let _l = crate::checkpoint::FAULT_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let constraints = Constraints::edge_device(15.0, 85.0);
         let objective = crate::objective::Objective::balanced();
         let run = |policy: Option<&CheckpointPolicy>, resume: Option<&std::path::Path>| {
@@ -1408,6 +1238,9 @@ mod tests {
 
     #[test]
     fn resume_rejects_a_checkpoint_from_a_different_campaign() {
+        let _l = crate::checkpoint::FAULT_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let constraints = Constraints::edge_device(15.0, 85.0);
         let objective = crate::objective::Objective::balanced();
         let path = temp_ckpt_path("mismatch");
@@ -1526,7 +1359,7 @@ mod frequency_tests {
             init_attempts: 24,
             seed: 5,
             screening: false,
-            speculation: 0,
+            ..MsaConfig::default()
         };
         // A thermal budget tight enough that high frequencies struggle.
         let constraints = Constraints::edge_device(15.0, 76.0);

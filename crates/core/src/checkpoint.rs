@@ -467,7 +467,8 @@ impl CampaignState {
 }
 
 /// Serializes in-crate unit tests that arm the process-global faultpoint
-/// registry (cargo runs test threads in parallel).
+/// registry or reach a `ckpt.*` site (cargo runs test threads in
+/// parallel, and a save elsewhere would use up an armed plan's hits).
 #[cfg(test)]
 pub(crate) static FAULT_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -543,6 +544,7 @@ mod tests {
 
     #[test]
     fn save_and_load_through_a_file() {
+        let _l = FAULT_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir();
         let path = dir.join(format!("tesa_ckpt_test_{}.json", std::process::id()));
         let state = sample();

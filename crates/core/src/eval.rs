@@ -501,23 +501,35 @@ impl Evaluator {
     ) -> Arc<McmEvaluation> {
         let key: EvalKey = (*design, constraints_key(constraints));
         if let Some(hit) = self.eval_cache.read().expect("cache lock poisoned").get(&key) {
-            self.eval_hits.fetch_add(1, Ordering::Relaxed);
-            EVAL_CACHE_HITS.inc();
-            trace::counter("eval.cache.hit", 1.0);
+            self.record_lookup(true);
             return Arc::clone(hit);
         }
-        self.eval_misses.fetch_add(1, Ordering::Relaxed);
-        EVAL_CACHE_MISSES.inc();
-        trace::counter("eval.cache.miss", 1.0);
+        self.record_lookup(false);
         let eval = Arc::new(self.evaluate(design, constraints));
         self.eval_cache.write().expect("cache lock poisoned").insert(key, Arc::clone(&eval));
         eval
     }
 
-    /// `(hits, misses)` counts of [`Evaluator::evaluate_cached`] since
-    /// construction. A design-space search should see hits dominate once
-    /// it starts revisiting neighbors; a near-zero hit rate means the
-    /// search is exploring an unbounded space and the memo (capped at
+    /// Counts one memo lookup in the per-evaluator pair behind
+    /// [`Evaluator::eval_cache_stats`], the process-wide registry and the
+    /// trace.
+    fn record_lookup(&self, hit: bool) {
+        if hit {
+            self.eval_hits.fetch_add(1, Ordering::Relaxed);
+            EVAL_CACHE_HITS.inc();
+            trace::counter("eval.cache.hit", 1.0);
+        } else {
+            self.eval_misses.fetch_add(1, Ordering::Relaxed);
+            EVAL_CACHE_MISSES.inc();
+            trace::counter("eval.cache.miss", 1.0);
+        }
+    }
+
+    /// `(hits, misses)` counts of [`Evaluator::evaluate_cached`] and
+    /// [`Evaluator::evaluate_cached_batch`] since construction. A
+    /// design-space search should see hits dominate once it starts
+    /// revisiting neighbors; a near-zero hit rate means the search is
+    /// exploring an unbounded space and the memo (capped at
     /// `EVAL_CACHE_CAP` entries, FIFO eviction) is doing little.
     pub fn eval_cache_stats(&self) -> (u64, u64) {
         (self.eval_hits.load(Ordering::Relaxed), self.eval_misses.load(Ordering::Relaxed))
@@ -555,48 +567,24 @@ impl Evaluator {
         self.screen_mode(design, constraints, true).0
     }
 
-    /// [`Evaluator::screen`] without the clearly-feasible classification:
-    /// per phase it runs only the lower-bound surrogate solve, so a
-    /// returned [`ScreenVerdict::Ambiguous`] means just "not clearly
-    /// infeasible" — the design may well be clearly feasible.
+    /// [`Evaluator::screen`] (with `classify_feasible`), or the
+    /// infeasible-only mode the annealer's screening gate uses (without):
+    /// per phase that mode runs only the lower-bound surrogate solve, so
+    /// its [`ScreenVerdict::Ambiguous`] means just "not clearly
+    /// infeasible". The annealer needs the exact objective score to
+    /// accept a move, so a clearly-feasible verdict would save it
+    /// nothing, and skipping the upper-bound solves roughly halves the
+    /// screening cost of every candidate that survives.
     ///
-    /// This is the right screen for callers that must run the exact
-    /// evaluation on every surviving candidate anyway (the annealer needs
-    /// the exact objective score to accept a move, so a clearly-feasible
-    /// verdict saves it nothing): the upper-bound solves are pure
-    /// overhead there, and skipping them roughly halves the screening
-    /// cost of every candidate that survives.
-    ///
-    /// Unlike [`Evaluator::screen`], this mode never consults the exact
-    /// evaluation memo: its verdict is a pure function of the design, so
-    /// a serial search loop that branches on it behaves identically no
-    /// matter how much concurrent cache warm-up has happened to run.
-    pub fn screen_infeasible_only(
-        &self,
-        design: &McmDesign,
-        constraints: &Constraints,
-    ) -> ScreenVerdict {
-        self.screen_mode(design, constraints, false).0
-    }
-
-    /// [`Evaluator::screen_infeasible_only`] plus whether the verdict was
-    /// settled at the surrogate thermal stage (coarse-grid solves ran)
-    /// rather than by the cheap exact pipeline. The annealer's adaptive
-    /// screening gate needs the distinction: with a lazy evaluator, a
-    /// cheap-stage reject saves nothing the full evaluation would not
-    /// reject just as cheaply, so only surrogate-stage outcomes count as
-    /// the screen earning (reject) or wasting (ambiguous) its keep. The
-    /// stage bit is memoized with the verdict, so it is a pure function
-    /// of the design — identical on every machine and thread count.
-    pub(crate) fn screen_chain(
-        &self,
-        design: &McmDesign,
-        constraints: &Constraints,
-    ) -> (ScreenVerdict, bool) {
-        self.screen_mode(design, constraints, false)
-    }
-
-    fn screen_mode(
+    /// The `bool` returned with the verdict says whether it was settled
+    /// at the surrogate thermal stage (coarse-grid solves ran) rather
+    /// than by the cheap exact pipeline. The gate needs the distinction:
+    /// with a lazy evaluator, a cheap-stage reject saves nothing the full
+    /// evaluation would not reject just as cheaply, so only
+    /// surrogate-stage outcomes count as the screen earning (reject) or
+    /// wasting (ambiguous) its keep. The stage bit is memoized with the
+    /// verdict, so it is a pure function of the design.
+    pub(crate) fn screen_mode(
         &self,
         design: &McmDesign,
         constraints: &Constraints,
@@ -606,13 +594,13 @@ impl Evaluator {
         if classify_feasible {
             // The exact answer may already be known — no surrogate
             // involved, so no screening counters. The infeasible-only
-            // mode must NOT take this shortcut: the annealer's serial
-            // chain drives its adaptive screening gate (and its
-            // evaluation counters) off these verdicts, and the eval
-            // cache's contents depend on how much speculative warm-up
-            // ran — i.e. on the machine's thread count. Surrogate
-            // verdicts are a pure function of the design, so the serial
-            // chain stays bit-identical for any `TESA_THREADS`.
+            // mode must NOT take this shortcut: the annealer's chains
+            // drive their screening gates (and evaluation counts) off
+            // these verdicts, and the three starts share one memo, so
+            // what it holds at any moment depends on how the parallel
+            // starts interleave. Surrogate verdicts are a pure function
+            // of the design, so each chain stays bit-identical run to
+            // run and for any `TESA_THREADS`.
             if let Some(hit) = self.eval_cache.read().expect("cache lock poisoned").get(&key) {
                 let v = if hit.is_feasible() {
                     ScreenVerdict::ClearlyFeasible
@@ -1463,18 +1451,15 @@ impl Evaluator {
             for (i, &(design, constraints)) in queries.iter().enumerate() {
                 let key: EvalKey = (*design, constraints_key(constraints));
                 if let Some(hit) = cache.get(&key) {
-                    self.eval_hits.fetch_add(1, Ordering::Relaxed);
-                    trace::counter("eval.cache.hit", 1.0);
+                    self.record_lookup(true);
                     out[i] = Some(Arc::clone(hit));
                 } else if let Some(&first) = first_at.get(&key) {
                     // A serial loop would compute the first occurrence and
                     // hit the memo here; keep the stats equivalent.
-                    self.eval_hits.fetch_add(1, Ordering::Relaxed);
-                    trace::counter("eval.cache.hit", 1.0);
+                    self.record_lookup(true);
                     dups.push((i, first));
                 } else {
-                    self.eval_misses.fetch_add(1, Ordering::Relaxed);
-                    trace::counter("eval.cache.miss", 1.0);
+                    self.record_lookup(false);
                     first_at.insert(key, i);
                     misses.push(i);
                 }
@@ -1942,7 +1927,7 @@ mod tests {
             for integration in [Integration::TwoD, Integration::ThreeD] {
                 let d = design(dim, 512, integration, 500, 400);
                 // Fresh evaluators: both screens must run from scratch.
-                let fast = evaluator().screen_infeasible_only(&d, &c);
+                let fast = evaluator().screen_mode(&d, &c, false).0;
                 let full = evaluator().screen(&d, &c);
                 // The infeasible side is identical (same lower-bound
                 // solves); the fast path only collapses the feasible side
@@ -1955,7 +1940,7 @@ mod tests {
                 // must still reach the full verdict: an infeasible-only
                 // Ambiguous is not cacheable.
                 let e = evaluator();
-                let first = e.screen_infeasible_only(&d, &c);
+                let first = e.screen_mode(&d, &c, false).0;
                 assert_eq!(first == ScreenVerdict::ClearlyInfeasible,
                            full == ScreenVerdict::ClearlyInfeasible);
                 assert_eq!(e.screen(&d, &c), full, "{d:?}");

@@ -26,7 +26,7 @@ fn config(seed: u64) -> MsaConfig {
         init_attempts: 40,
         seed,
         screening: false,
-        speculation: 0,
+        ..MsaConfig::default()
     }
 }
 
@@ -63,13 +63,13 @@ fn same_seed_same_best_design_and_evaluation_count() {
 }
 
 #[test]
-fn determinism_holds_with_screening_and_speculation() {
-    // The surrogate screen and the speculative pre-evaluation are pure
-    // accelerations: the accepted trajectory — and everything derived
-    // from it — must be bit-identical to the serial, unscreened chain.
+fn determinism_holds_with_screening() {
+    // The surrogate screen is a pure acceleration: the accepted
+    // trajectory — and everything derived from it — must be
+    // bit-identical to the unscreened chain.
     let constraints = Constraints::edge_device(15.0, 85.0);
     let objective = Objective::balanced();
-    let run = |screening: bool, speculation: usize| {
+    let run = |screening: bool| {
         optimize(
             &evaluator(),
             &space(),
@@ -77,29 +77,29 @@ fn determinism_holds_with_screening_and_speculation() {
             400,
             &constraints,
             &objective,
-            &MsaConfig { screening, speculation, ..config(42) },
+            &MsaConfig { screening, ..config(42) },
         )
     };
-    let serial = run(false, 0);
-    let spec = run(true, 4);
-    let spec_again = run(true, 4);
+    let serial = run(false);
+    let screened = run(true);
+    let screened_again = run(true);
     assert_eq!(
         serial.best.as_ref().map(|e| e.design),
-        spec.best.as_ref().map(|e| e.design),
-        "speculation/screening must not change the best design"
+        screened.best.as_ref().map(|e| e.design),
+        "screening must not change the best design"
     );
-    if let (Some(a), Some(b)) = (&serial.best, &spec.best) {
+    if let (Some(a), Some(b)) = (&serial.best, &screened.best) {
         assert_eq!(a.peak_temp_c, b.peak_temp_c, "reported fields are from exact solves");
         assert_eq!(a.mcm_cost_usd, b.mcm_cost_usd);
         assert_eq!(a.total_power_w, b.total_power_w);
     }
-    assert_eq!(serial.unique_designs, spec.unique_designs);
-    assert_eq!(serial.accepted_moves, spec.accepted_moves);
-    // And the accelerated run is itself exactly repeatable.
-    assert_eq!(spec.evaluations, spec_again.evaluations);
+    assert_eq!(serial.unique_designs, screened.unique_designs);
+    assert_eq!(serial.accepted_moves, screened.accepted_moves);
+    // And the screened run is itself exactly repeatable.
+    assert_eq!(screened.evaluations, screened_again.evaluations);
     assert_eq!(
-        spec.best.as_ref().map(|e| e.design),
-        spec_again.best.as_ref().map(|e| e.design)
+        screened.best.as_ref().map(|e| e.design),
+        screened_again.best.as_ref().map(|e| e.design)
     );
 }
 

@@ -59,7 +59,7 @@ const SURROGATE_CG_REL: f64 = 1e-8;
 const SURROGATE_CG_MAX_ITERS: usize = 5_000;
 
 /// Pooled per-solve workspaces so concurrent surrogate queries (the
-/// annealer screens speculative candidates from several threads) never
+/// annealer's parallel starts screen from several threads) never
 /// allocate the CG/V-cycle vectors per call. Vectors hold the queried maps
 /// interleaved `[node][rhs]`.
 #[derive(Debug, Default)]

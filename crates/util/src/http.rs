@@ -8,8 +8,9 @@
 //! * one request per connection (`Connection: close` on every response);
 //! * bodies are delimited by `Content-Length` only (no chunked encoding);
 //! * header names are matched case-insensitively, values are trimmed;
-//! * request bodies are capped ([`MAX_BODY_BYTES`]) so a misbehaving
-//!   client cannot balloon daemon memory.
+//! * message heads ([`MAX_HEAD_BYTES`]) and bodies ([`MAX_BODY_BYTES`])
+//!   are capped so a misbehaving client cannot balloon daemon memory;
+//! * a message with two different `Content-Length` values is malformed.
 //!
 //! That subset is enough for `curl`, for [`get`]/[`post`] below, and for
 //! the `tesa client` subcommand. Parsing is transport-agnostic: both
@@ -48,6 +49,12 @@ use std::time::Duration;
 /// describes one design point or one annealing campaign — a few hundred
 /// bytes — so anything near the cap is garbage or abuse.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Hard cap on a message head: the start line plus every header line,
+/// terminators included (16 KiB). `tesa` clients send a few hundred
+/// bytes of head; a peer that sends more, or never ends a line, is cut
+/// off here instead of growing a line buffer without limit.
+pub const MAX_HEAD_BYTES: usize = 16 << 10;
 
 /// Errors from parsing or transporting an HTTP message.
 #[derive(Debug)]
@@ -99,9 +106,11 @@ impl Request {
     /// Expects a request line, headers up to an empty line, and a body of
     /// exactly `Content-Length` bytes (absent header ⇒ empty body, as is
     /// conventional for `GET`). Declared lengths above [`MAX_BODY_BYTES`]
-    /// are rejected before any body byte is read.
+    /// are rejected before any body byte is read, and a head is rejected
+    /// as soon as it passes [`MAX_HEAD_BYTES`].
     pub fn read_from<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-        let line = read_crlf_line(reader)?;
+        let mut budget = MAX_HEAD_BYTES;
+        let line = read_crlf_line(reader, &mut budget)?;
         let mut parts = line.split(' ');
         let (method, target, version) =
             match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -115,7 +124,7 @@ impl Request {
         if !version.starts_with("HTTP/1.") {
             return Err(HttpError::Malformed(format!("unsupported version {version:?}")));
         }
-        let headers = read_headers(reader)?;
+        let headers = read_headers(reader, &mut budget)?;
         let body = read_body(reader, &headers)?;
         Ok(Request { method, target, headers, body })
     }
@@ -218,7 +227,8 @@ impl Response {
     /// [`Response::write_to`]). Accepts only `Content-Length`-delimited
     /// bodies, like the request parser.
     pub fn read_from<R: BufRead>(reader: &mut R) -> Result<Response, HttpError> {
-        let line = read_crlf_line(reader)?;
+        let mut budget = MAX_HEAD_BYTES;
+        let line = read_crlf_line(reader, &mut budget)?;
         let mut parts = line.splitn(3, ' ');
         let (version, status) = match (parts.next(), parts.next()) {
             (Some(v), Some(s)) => (v, s),
@@ -230,7 +240,7 @@ impl Response {
         let status: u16 = status
             .parse()
             .map_err(|_| HttpError::Malformed(format!("bad status code in {line:?}")))?;
-        let headers = read_headers(reader)?;
+        let headers = read_headers(reader, &mut budget)?;
         let body = read_body(reader, &headers)?;
         Ok(Response { status, headers, body })
     }
@@ -295,23 +305,36 @@ fn roundtrip(
     Response::read_from(&mut reader)
 }
 
-/// Reads one CRLF- (or bare-LF-) terminated line, without the terminator.
-fn read_crlf_line<R: BufRead>(reader: &mut R) -> Result<String, HttpError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
+/// Reads one CRLF- (or bare-LF-) terminated line, without the terminator,
+/// charging its bytes to the head's remaining `budget`.
+fn read_crlf_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> Result<String, HttpError> {
+    let mut line = Vec::new();
+    // One byte past the budget tells a line that fits exactly from one
+    // that does not.
+    let limit = *budget as u64 + 1;
+    let n = std::io::Read::take(&mut *reader, limit).read_until(b'\n', &mut line)?;
     if n == 0 {
         return Err(HttpError::Malformed("unexpected end of stream".to_owned()));
     }
-    while line.ends_with('\n') || line.ends_with('\r') {
+    if n > *budget {
+        return Err(HttpError::Malformed(format!(
+            "message head exceeds the {MAX_HEAD_BYTES}-byte cap"
+        )));
+    }
+    *budget -= n;
+    while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
         line.pop();
     }
-    Ok(line)
+    String::from_utf8(line).map_err(|e| HttpError::Malformed(format!("head is not utf-8: {e}")))
 }
 
-fn read_headers<R: BufRead>(reader: &mut R) -> Result<Vec<(String, String)>, HttpError> {
+fn read_headers<R: BufRead>(
+    reader: &mut R,
+    budget: &mut usize,
+) -> Result<Vec<(String, String)>, HttpError> {
     let mut headers = Vec::new();
     loop {
-        let line = read_crlf_line(reader)?;
+        let line = read_crlf_line(reader, budget)?;
         if line.is_empty() {
             return Ok(headers);
         }
@@ -326,11 +349,18 @@ fn read_body<R: BufRead>(
     reader: &mut R,
     headers: &[(String, String)],
 ) -> Result<Vec<u8>, HttpError> {
-    let declared = match header_lookup(headers, "content-length") {
-        None => return Ok(Vec::new()),
-        Some(v) => v
+    let mut declared: Option<usize> = None;
+    for (_, v) in headers.iter().filter(|(n, _)| n.eq_ignore_ascii_case("content-length")) {
+        let len = v
             .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?,
+            .map_err(|_| HttpError::Malformed(format!("bad content-length {v:?}")))?;
+        if declared.is_some_and(|d| d != len) {
+            return Err(HttpError::Malformed("conflicting content-length headers".to_owned()));
+        }
+        declared = Some(len);
+    }
+    let Some(declared) = declared else {
+        return Ok(Vec::new());
     };
     if declared > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge(declared));
@@ -386,6 +416,24 @@ mod tests {
             Request::read_from(&mut Cursor::new(raw.into_bytes())),
             Err(HttpError::TooLarge(_))
         ));
+    }
+
+    #[test]
+    fn head_cap_counts_the_request_line_and_every_header() {
+        // A head of exactly `len` bytes: the request line, 1 KiB header
+        // lines, one shorter header that lands on `len`, the blank line.
+        let head = |len: usize| {
+            let mut raw = String::from("GET / HTTP/1.1\r\n");
+            while len - raw.len() > 1024 + 7 {
+                raw.push_str(&format!("X: {}\r\n", "y".repeat(1024 - 5)));
+            }
+            let last = len - raw.len() - 2;
+            raw.push_str(&format!("Z: {}\r\n\r\n", "z".repeat(last - 5)));
+            assert_eq!(raw.len(), len);
+            Request::read_from(&mut Cursor::new(raw.into_bytes()))
+        };
+        assert!(head(MAX_HEAD_BYTES).is_ok());
+        assert!(matches!(head(MAX_HEAD_BYTES + 1), Err(HttpError::Malformed(_))));
     }
 
     #[test]

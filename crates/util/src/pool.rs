@@ -52,9 +52,9 @@
 //! including 1.
 //!
 //! [`map_dynamic`] keeps the work-stealing index map from the previous
-//! design for coarse irregular items (design sweeps, speculative move
-//! batches) — same in-order output guarantee, now dispatched onto the
-//! persistent workers instead of fresh threads.
+//! design for coarse irregular items (design sweeps, the pre-thermal
+//! stage of evaluation batches) — same in-order output guarantee, now
+//! dispatched onto the persistent workers instead of fresh threads.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -533,17 +533,6 @@ where
     global().map_dynamic(threads, n, f)
 }
 
-/// Runs `f` for every index in `0..n` on up to `threads` lanes of the
-/// global pool, discarding the results. Convenience wrapper over
-/// [`map_dynamic`] for callers that only want side effects (e.g. warming
-/// a shared cache).
-pub fn for_each_dynamic<F>(threads: usize, n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let _ = map_dynamic(threads, n, f);
-}
-
 /// Pops a chunk off the front of `q`, or `None` when the range is empty.
 /// Chunks shrink with the remaining work (a quarter, capped by
 /// `chunk_cap`) so the tail of a range stays stealable while lock traffic
@@ -641,16 +630,6 @@ mod tests {
         };
         let expected: Vec<u64> = (0..256).map(work).collect();
         assert_eq!(pool.map_dynamic(8, 256, work), expected);
-    }
-
-    #[test]
-    fn for_each_visits_all_indices() {
-        let n = 300;
-        let sum = AtomicUsize::new(0);
-        for_each_dynamic(4, n, |i| {
-            sum.fetch_add(i + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn quick_msa() -> MsaConfig {
         init_attempts: 50,
         seed: 11,
         screening: false,
-        speculation: 0,
+        ..MsaConfig::default()
     }
 }
 

@@ -101,7 +101,7 @@ fn batched_batch_is_identical_to_cached_singles() {
 fn paired_screen_verdicts_are_sound_against_full_evaluation() {
     // The full screen's lower/upper surrogate bounds now solve as one k=2
     // lockstep pair; decisive verdicts must still be sound against the
-    // exact pipeline, and both screen modes must agree where they overlap.
+    // exact pipeline.
     let constraints = Constraints::edge_device(30.0, 75.0);
     let screens = evaluator();
     let exact = evaluator();
@@ -113,20 +113,15 @@ fn paired_screen_verdicts_are_sound_against_full_evaluation() {
         design(1024, 4096, Integration::TwoD, 0, 400),
     ] {
         let full = screens.screen(&d, &constraints);
-        let infeasible_only = screens.screen_infeasible_only(&d, &constraints);
         let eval = exact.evaluate(&d, &constraints);
         match full {
             ScreenVerdict::ClearlyInfeasible => {
                 assert!(!eval.is_feasible(), "{d:?} screened infeasible but evaluates feasible");
-                assert_eq!(infeasible_only, ScreenVerdict::ClearlyInfeasible, "{d:?}");
             }
             ScreenVerdict::ClearlyFeasible => {
                 assert!(eval.is_feasible(), "{d:?} screened feasible but evaluates infeasible");
-                assert_ne!(infeasible_only, ScreenVerdict::ClearlyInfeasible, "{d:?}");
             }
-            ScreenVerdict::Ambiguous => {
-                assert_ne!(infeasible_only, ScreenVerdict::ClearlyInfeasible, "{d:?}");
-            }
+            ScreenVerdict::Ambiguous => {}
         }
     }
 }
