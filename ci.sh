@@ -14,6 +14,14 @@ cargo build --offline --benches --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 
+# The benchmark (perfbench/, a package with a workspace of its own) builds
+# against tesa, tesa-thermal and tesa-memsim through their public APIs.
+# Build it and run its self-tests here, so an API change that breaks it
+# fails CI instead of the next benchmark run. It builds into
+# perfbench/target (gitignored). No -D warnings: perfbench still sets the
+# deprecated `MsaConfig::speculation` field.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Crash/resume kill matrix in release mode (the debug run is part of the
 # workspace suite above; release exercises the same binary the artifacts
 # use). TESA_FAULTPOINTS is deliberately set for the harness process: the

@@ -14,7 +14,7 @@ use crate::tech::TechParams;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use tesa_memsim::{DramPowerModel, DramUsage};
 use tesa_util::{faultpoint, metrics, pool, trace, Json};
 
@@ -440,6 +440,11 @@ impl<K: std::hash::Hash + Eq + Copy, V> CappedCache<K, V> {
     }
 }
 
+/// One evaluation-memo entry. The call that evaluates the design fills
+/// it; concurrent [`Evaluator::evaluate_cached`] calls for the same design
+/// wait on it instead of evaluating the design again.
+type EvalCell = Arc<OnceLock<Arc<McmEvaluation>>>;
+
 /// Evaluates MCM design points for one workload.
 ///
 /// Performance simulations are memoized per (array, SRAM) pair — ICS and
@@ -461,7 +466,7 @@ pub struct Evaluator {
     // cached so the answer is identical on a cache hit, keeping callers
     // that branch on it deterministic.
     screen_cache: RwLock<CappedCache<EvalKey, (ScreenVerdict, bool, bool)>>,
-    eval_cache: RwLock<CappedCache<EvalKey, Arc<McmEvaluation>>>,
+    eval_cache: RwLock<CappedCache<EvalKey, EvalCell>>,
     eval_hits: AtomicU64,
     eval_misses: AtomicU64,
     dram: DramPowerModel,
@@ -494,20 +499,44 @@ impl Evaluator {
     /// [`Evaluator::evaluate`] with memoization on `(design, constraints)`.
     /// Design-space searches revisit neighbors constantly; this makes the
     /// revisit free. Evaluation is deterministic, so caching is exact.
+    ///
+    /// Single-flight: when several threads ask for the same uncached pair
+    /// at once, one of them evaluates it and the others wait for that
+    /// result. Only the call that ran the evaluation counts as a miss. If
+    /// the evaluation panics, the entry stays empty for the next caller.
+    /// Because callers wait, a caller inside a `tesa_util::pool` job must
+    /// not race a caller outside the pool on one pair: the outside
+    /// evaluation's kernels may need the pool that the waiting job holds.
     pub fn evaluate_cached(
         &self,
         design: &McmDesign,
         constraints: &Constraints,
     ) -> Arc<McmEvaluation> {
-        let key: EvalKey = (*design, constraints_key(constraints));
-        if let Some(hit) = self.eval_cache.read().expect("cache lock poisoned").get(&key) {
+        let cell = self.eval_cell((*design, constraints_key(constraints)));
+        let mut ran = false;
+        let eval = cell.get_or_init(|| {
+            ran = true;
+            self.record_lookup(false);
+            Arc::new(self.evaluate(design, constraints))
+        });
+        if !ran {
             self.record_lookup(true);
-            return Arc::clone(hit);
         }
-        self.record_lookup(false);
-        let eval = Arc::new(self.evaluate(design, constraints));
-        self.eval_cache.write().expect("cache lock poisoned").insert(key, Arc::clone(&eval));
-        eval
+        Arc::clone(eval)
+    }
+
+    /// The memo entry for `key`, inserting an empty one if there is none.
+    fn eval_cell(&self, key: EvalKey) -> EvalCell {
+        if let Some(cell) = self.eval_cache.read().expect("cache lock poisoned").get(&key) {
+            return Arc::clone(cell);
+        }
+        let mut cache = self.eval_cache.write().expect("cache lock poisoned");
+        if let Some(cell) = cache.get(&key) {
+            return Arc::clone(cell);
+        }
+        let cell = EvalCell::default();
+        cache.insert(key, Arc::clone(&cell));
+        cell
     }
 
     /// Counts one memo lookup in the per-evaluator pair behind
@@ -601,7 +630,8 @@ impl Evaluator {
             // starts interleave. Surrogate verdicts are a pure function
             // of the design, so each chain stays bit-identical run to
             // run and for any `TESA_THREADS`.
-            if let Some(hit) = self.eval_cache.read().expect("cache lock poisoned").get(&key) {
+            let memo = self.eval_cache.read().expect("cache lock poisoned");
+            if let Some(hit) = memo.get(&key).and_then(|cell| cell.get()) {
                 let v = if hit.is_feasible() {
                     ScreenVerdict::ClearlyFeasible
                 } else {
@@ -1437,6 +1467,10 @@ impl Evaluator {
     /// pre-thermal pipeline of the misses fans out across `threads` pool
     /// lanes; the memo is probed first, so work distribution and chunk
     /// granularity reflect only the designs that actually need computing.
+    ///
+    /// The batch never waits for another thread's evaluation: a design
+    /// still in flight elsewhere is computed here too, and both results
+    /// carry the same bits.
     pub fn evaluate_cached_batch(
         &self,
         queries: &[(&McmDesign, &Constraints)],
@@ -1450,7 +1484,7 @@ impl Evaluator {
             let cache = self.eval_cache.read().expect("cache lock poisoned");
             for (i, &(design, constraints)) in queries.iter().enumerate() {
                 let key: EvalKey = (*design, constraints_key(constraints));
-                if let Some(hit) = cache.get(&key) {
+                if let Some(hit) = cache.get(&key).and_then(|cell| cell.get()) {
                     self.record_lookup(true);
                     out[i] = Some(Arc::clone(hit));
                 } else if let Some(&first) = first_at.get(&key) {
@@ -1550,7 +1584,11 @@ impl Evaluator {
         });
         let key: EvalKey = (*queries[i].0, constraints_key(queries[i].1));
         let arc = Arc::new(eval);
-        self.eval_cache.write().expect("cache lock poisoned").insert(key, Arc::clone(&arc));
+        // Publish without waiting: a filled entry replaces one that another
+        // thread may still be filling, whose callers still get that
+        // thread's (bit-identical) result.
+        let cell = Arc::new(OnceLock::from(Arc::clone(&arc)));
+        self.eval_cache.write().expect("cache lock poisoned").insert(key, cell);
         out[i] = Some(arc);
     }
 
@@ -1827,7 +1865,7 @@ mod tests {
             for f in 0..EVAL_CACHE_CAP as u32 {
                 let mut k: EvalKey = (d, constraints_key(&c));
                 k.0.freq_mhz = 100_000 + f;
-                cache.insert(k, Arc::clone(&eval));
+                cache.insert(k, Arc::new(OnceLock::from(Arc::clone(&eval))));
             }
             assert_eq!(cache.map.len(), EVAL_CACHE_CAP);
             assert_eq!(cache.order.len(), EVAL_CACHE_CAP);

@@ -52,6 +52,7 @@ mod power;
 mod solver;
 mod stack;
 mod surrogate;
+mod workspace;
 
 pub use field::ThermalField;
 pub use geometry::Rect;

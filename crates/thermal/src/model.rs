@@ -1,10 +1,11 @@
 //! Conductance-network assembly and the public solve API.
 
 use crate::field::ThermalField;
-use crate::multigrid::{MgScratch, Multigrid};
+use crate::multigrid::Multigrid;
 use crate::power::PowerMap;
-use crate::solver::{self, dispatch_width, eff_width, CgOutcome, CgResult, CgScratch, Tolerance};
+use crate::solver::{self, dispatch_width, eff_width, CgOutcome, CgResult, Tolerance};
 use crate::stack::LayerDef;
+use crate::workspace::{with_workspace, Workspace};
 
 use std::sync::{Arc, Mutex};
 use tesa_util::{faultpoint, metrics, trace, Json};
@@ -97,38 +98,6 @@ impl std::fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-/// Pooled per-solve workspaces: CG vectors, multigrid level buffers, and
-/// the right-hand side, interleaved `[node][rhs]` at the width of the
-/// solve using them. Solves pop one (or create it on first use) and push
-/// it back, so steady-state loops allocate nothing per solve; a workspace
-/// grows to the widest batch it has served and smaller solves use
-/// prefixes of it.
-#[derive(Debug, Default)]
-struct Scratch {
-    cg: CgScratch,
-    mg: MgScratch,
-    rhs: Vec<f64>,
-}
-
-#[derive(Debug, Default)]
-struct ScratchPool(Mutex<Vec<Scratch>>);
-
-impl ScratchPool {
-    fn take(&self) -> Scratch {
-        self.0.lock().expect("scratch pool poisoned").pop().unwrap_or_default()
-    }
-
-    fn put(&self, s: Scratch) {
-        self.0.lock().expect("scratch pool poisoned").push(s);
-    }
-}
-
-impl Clone for ScratchPool {
-    fn clone(&self) -> Self {
-        Self::default() // scratch is derived state; clones start empty
-    }
-}
-
 /// Transient-solve diagonals for one step size: `C/dt` and `diag + C/dt`.
 /// Cached on the model because schedule transients take thousands of equal
 /// steps.
@@ -172,17 +141,17 @@ pub struct ThermalModel {
     gamb: Vec<f64>,
     /// Matrix diagonal (sum of incident conductances per node).
     diag: Vec<f64>,
-    /// Per-node thermal capacitance, J/K (cell volume x volumetric heat
-    /// capacity) — transient solves only.
-    cap: Vec<f64>,
+    /// Thermal capacitance of one node in each layer, J/K (cell volume x
+    /// the layer's volumetric heat capacity) — transient solves only.
+    layer_cap: Vec<f64>,
     ambient_c: f64,
     layer_names: Vec<String>,
-    /// Multigrid hierarchy when the resolved preconditioner is multigrid.
-    mg: Option<Multigrid>,
+    /// Multigrid hierarchy when the resolved preconditioner is multigrid;
+    /// shared with the surrogates built from this model.
+    mg: Option<Arc<Multigrid>>,
     /// Pool-lane cap for this model's solves (see
     /// [`ThermalModel::set_parallel_lanes`]).
     lanes: usize,
-    scratch: ScratchPool,
     transient_diags: TransientCache,
 }
 
@@ -486,21 +455,19 @@ impl ThermalModel {
             diag[top * ny * nx + c] += gamb[c];
         }
 
-        // Thermal capacitance per node for transient analysis.
-        let mut cap = vec![0.0f64; n];
-        for (l, def) in layers.iter().enumerate() {
-            let c_node = def.vol_heat_capacity * cell_area * def.thickness_m;
-            for v in &mut cap[l * ny * nx..(l + 1) * ny * nx] {
-                *v = c_node;
-            }
-        }
+        // Thermal capacitance of a node in each layer, for transient
+        // analysis.
+        let layer_cap: Vec<f64> = layers
+            .iter()
+            .map(|def| def.vol_heat_capacity * cell_area * def.thickness_m)
+            .collect();
 
         let use_mg = match precond {
             Preconditioner::Auto => nx * ny >= MG_MIN_CELLS,
             Preconditioner::Multigrid => true,
             Preconditioner::Jacobi => false,
         };
-        let mg = use_mg.then(|| Multigrid::build(nx, ny, nl, &gx, &gy, &gz, &diag));
+        let mg = use_mg.then(|| Arc::new(Multigrid::build(nx, ny, nl, &gx, &gy, &gz, &diag)));
 
         Self {
             nx,
@@ -513,12 +480,11 @@ impl ThermalModel {
             gz,
             gamb,
             diag,
-            cap,
+            layer_cap,
             ambient_c,
             layer_names: layers.into_iter().map(|l| l.name).collect(),
             mg,
             lanes: tesa_util::pool::global().lanes(),
-            scratch: ScratchPool::default(),
             transient_diags: TransientCache::default(),
         }
     }
@@ -578,10 +544,10 @@ impl ThermalModel {
     }
 
     /// Builds the cheap coarse-level surrogate solver for this model's
-    /// conductance network (see [`crate::Surrogate`]). The model's own
-    /// multigrid hierarchy is reused when present; on the Jacobi path a
-    /// hierarchy is built here once. The surrogate is independent of the
-    /// model afterwards and shares no solver state with it.
+    /// conductance network (see [`crate::Surrogate`]). The surrogate shares
+    /// the model's multigrid hierarchy when there is one; on the Jacobi
+    /// path a hierarchy is built here once. The hierarchy is immutable, so
+    /// the surrogate is independent of the model afterwards.
     pub fn surrogate(&self) -> crate::Surrogate {
         crate::Surrogate::from_network(
             self.nx,
@@ -685,8 +651,6 @@ impl ThermalModel {
     ) -> Vec<CgOutcome> {
         let k = systems.len();
         let n = self.nl * self.ny * self.nx;
-        let mut s = self.scratch.take();
-        let Scratch { cg, mg: mgs, rhs } = &mut s;
         // Right-hand sides: injected power plus the ambient anchor.
         let watts: Vec<Option<&[f64]>> = systems
             .iter()
@@ -695,41 +659,43 @@ impl ThermalModel {
                 Some(power.watts.as_slice())
             })
             .collect();
-        solver::interleave(&watts, n, 0.0, rhs);
-        let top = (self.nl - 1) * self.ny * self.nx;
-        for c in 0..self.ny * self.nx {
-            let anchor = self.gamb[c] * self.ambient_c;
-            for slot in &mut rhs[(top + c) * k..(top + c + 1) * k] {
-                *slot += anchor;
-            }
-        }
         let tols: Vec<Tolerance> = systems.iter().map(|&(_, _, tol)| tol).collect();
-        let mg = if force_jacobi { None } else { self.mg.as_ref() };
+        let mg = if force_jacobi { None } else { self.mg.as_deref() };
         let used_mg = mg.is_some();
-        let apply = |v: &[f64], out: &mut [f64], kw: usize| self.apply(v, out, kw);
-        let result = match mg {
-            Some(mg) => solver::preconditioned_cg(
-                apply,
-                |r, z, kw| mg.vcycle(r, z, mgs, self.lanes, kw),
-                rhs,
-                xs,
-                n,
-                &tols,
-                cg,
-                self.lanes,
-            ),
-            None => solver::preconditioned_cg(
-                apply,
-                solver::jacobi(&self.diag),
-                rhs,
-                xs,
-                n,
-                &tols,
-                cg,
-                self.lanes,
-            ),
-        };
-        self.scratch.put(s);
+        let result = with_workspace(|ws| {
+            let Workspace { cg, mg: mgs, rhs, .. } = ws;
+            solver::interleave(&watts, n, 0.0, rhs);
+            let top = (self.nl - 1) * self.ny * self.nx;
+            for c in 0..self.ny * self.nx {
+                let anchor = self.gamb[c] * self.ambient_c;
+                for slot in &mut rhs[(top + c) * k..(top + c + 1) * k] {
+                    *slot += anchor;
+                }
+            }
+            let apply = |v: &[f64], out: &mut [f64], kw: usize| self.apply(v, out, kw);
+            match mg {
+                Some(mg) => solver::preconditioned_cg(
+                    apply,
+                    |r, z, kw| mg.vcycle(r, z, mgs, self.lanes, kw),
+                    rhs,
+                    xs,
+                    n,
+                    &tols,
+                    cg,
+                    self.lanes,
+                ),
+                None => solver::preconditioned_cg(
+                    apply,
+                    solver::jacobi(&self.diag),
+                    rhs,
+                    xs,
+                    n,
+                    &tols,
+                    cg,
+                    self.lanes,
+                ),
+            }
+        });
         if used_mg {
             VCYCLES.add(result.precond_calls);
         }
@@ -876,7 +842,7 @@ impl ThermalModel {
     }
 
     /// The cached `(C/dt, diag + C/dt)` pair for a step size, rebuilt only
-    /// when `dt_s` changes.
+    /// when `dt_s` changes. `C/dt` is expanded to one entry per node.
     fn transient_diags(&self, dt_s: f64) -> Arc<TransientDiags> {
         let mut slot = self.transient_diags.0.lock().expect("transient cache poisoned");
         if let Some(d) = slot.as_ref() {
@@ -884,7 +850,12 @@ impl ThermalModel {
                 return Arc::clone(d);
             }
         }
-        let inv_dt: Vec<f64> = self.cap.iter().map(|c| c / dt_s).collect();
+        let plane = self.ny * self.nx;
+        let inv_dt: Vec<f64> = self
+            .layer_cap
+            .iter()
+            .flat_map(|c| std::iter::repeat_n(c / dt_s, plane))
+            .collect();
         let diag_t: Vec<f64> = self.diag.iter().zip(&inv_dt).map(|(d, c)| d + c).collect();
         let built = Arc::new(TransientDiags { dt_s, inv_dt, diag_t });
         *slot = Some(Arc::clone(&built));
@@ -916,38 +887,38 @@ impl ThermalModel {
 
         let diags = self.transient_diags(dt_s);
         let (inv_dt, diag_t) = (&diags.inv_dt, &diags.diag_t);
-        let mut s = self.scratch.take();
-        s.rhs.clear();
-        s.rhs.extend(
-            power
-                .watts
-                .iter()
-                .zip(inv_dt.iter().zip(&current.temps_c))
-                .map(|(&p, (&c, &t))| p + c * t),
-        );
-        let top = (self.nl - 1) * self.ny * self.nx;
-        for c in 0..self.ny * self.nx {
-            s.rhs[top + c] += self.gamb[c] * self.ambient_c;
-        }
         let mut x = current.temps_c.clone();
         let tol = Tolerance::default();
-        let outcome = solver::preconditioned_cg(
-            |v, out, k| {
-                self.apply(v, out, k);
-                for (o, (&c, &vi)) in out.iter_mut().zip(inv_dt.iter().zip(v)) {
-                    *o += c * vi;
-                }
-            },
-            solver::jacobi(diag_t),
-            &s.rhs,
-            &mut x,
-            n,
-            &[tol],
-            &mut s.cg,
-            self.lanes,
-        )
-        .outcomes[0];
-        self.scratch.put(s);
+        let outcome = with_workspace(|ws| {
+            ws.rhs.clear();
+            ws.rhs.extend(
+                power
+                    .watts
+                    .iter()
+                    .zip(inv_dt.iter().zip(&current.temps_c))
+                    .map(|(&p, (&c, &t))| p + c * t),
+            );
+            let top = (self.nl - 1) * self.ny * self.nx;
+            for c in 0..self.ny * self.nx {
+                ws.rhs[top + c] += self.gamb[c] * self.ambient_c;
+            }
+            solver::preconditioned_cg(
+                |v, out, k| {
+                    self.apply(v, out, k);
+                    for (o, (&c, &vi)) in out.iter_mut().zip(inv_dt.iter().zip(v)) {
+                        *o += c * vi;
+                    }
+                },
+                solver::jacobi(diag_t),
+                &ws.rhs,
+                &mut x,
+                n,
+                &[tol],
+                &mut ws.cg,
+                self.lanes,
+            )
+            .outcomes[0]
+        });
         CG_ITERS.record(outcome.stats(tol.max_iters).0 as u64);
         trace::event("thermal.transient_cg", || {
             let (iters, residual) = outcome.stats(tol.max_iters);
@@ -1087,8 +1058,9 @@ mod tests {
         assert_eq!(production_model(Preconditioner::Auto).preconditioner(), Preconditioner::Multigrid);
     }
 
-    /// The pooled scratch must be invisible: repeated solves of different
-    /// power maps on one model agree with solves on a fresh model.
+    /// Workspace reuse must be invisible: repeated solves of different
+    /// power maps on one model agree with a solve on a fresh model, run on
+    /// a freshly spawned thread that holds no workspace yet.
     #[test]
     fn scratch_pool_reuse_is_transparent() {
         let m = production_model(Preconditioner::Multigrid);
@@ -1099,9 +1071,24 @@ mod tests {
         let first = m.solve(&p1);
         let _ = m.solve(&p2);
         let again = m.solve(&p1);
-        assert_eq!(first, again, "solves must be deterministic under scratch reuse");
-        let fresh = production_model(Preconditioner::Multigrid).solve(&p1);
-        assert_eq!(first, fresh, "pooled scratch must not change results");
+        assert_eq!(first, again, "solves must be deterministic under workspace reuse");
+        let fresh = std::thread::spawn(move || {
+            assert_eq!(crate::workspace::held(), 0, "the reference thread starts empty");
+            production_model(Preconditioner::Multigrid).solve(&p1)
+        })
+        .join()
+        .expect("reference solve holds");
+        assert_eq!(first, fresh, "a reused workspace must not change results");
+    }
+
+    /// A surrogate built from a multigrid model shares the model's
+    /// hierarchy instead of copying it.
+    #[test]
+    fn surrogate_shares_the_model_hierarchy() {
+        let m = production_model(Preconditioner::Multigrid);
+        let sur = m.surrogate();
+        let mg = m.mg.as_ref().expect("a multigrid model carries a hierarchy");
+        assert!(Arc::ptr_eq(mg, &sur.mg));
     }
 
     /// The transient diagonal cache rebuilds on dt change and is bit-exact.

@@ -82,7 +82,7 @@
 //! system's output is bit-identical to a V-cycle of that system alone —
 //! see the batching notes in `solver.rs`. A single system is k = 1.
 
-use crate::solver::{dispatch_width, eff_width};
+use crate::solver::{dispatch_width, eff_width, grow};
 
 /// Stop coarsening once a level has at most this many cells per layer.
 const COARSE_CELLS: usize = 16;
@@ -151,7 +151,9 @@ impl Network {
 }
 
 /// The assembled hierarchy plus the coarsest-level Cholesky factor.
-#[derive(Debug, Clone)]
+/// Immutable once built, so models and surrogates share one through an
+/// `Arc`.
+#[derive(Debug)]
 pub(crate) struct Multigrid {
     levels: Vec<Level>,
     /// Lower-triangular Cholesky factor of the coarsest operator, dense
@@ -160,43 +162,49 @@ pub(crate) struct Multigrid {
 }
 
 /// Per-solve scratch for the V-cycle: one (rhs, x, residual) triple per
-/// level plus per-lane Thomas-algorithm workspaces sized to the stack
-/// depth, all widened to `[node][rhs]` interleaving at the batch width.
-/// Sized for the largest width seen so far — retirement shrinks the active
-/// width mid-solve, and the kernels then use prefixes of the same
-/// allocations.
+/// level plus per-lane Thomas-algorithm workspaces and boundary-row
+/// snapshots, all widened to `[node][rhs]` interleaving at the batch width.
+/// Vectors only grow, each to the largest level, width and lane count
+/// served: retirement shrinks the active width mid-solve, and one
+/// workspace serves hierarchies of every shape (see `workspace.rs`), so
+/// the kernels use prefixes of the same allocations.
 #[derive(Debug, Default)]
 pub(crate) struct MgScratch {
+    /// Per-level vectors, indexed by level; a V-cycle from level `start`
+    /// grows only the levels it visits.
     rhs: Vec<Vec<f64>>,
     x: Vec<Vec<f64>>,
     r: Vec<Vec<f64>>,
-    /// Thomas sweep rhs workspaces, one `nl * nx * kmax` row block per lane
-    /// (sized for the fine level; coarser levels use a prefix).
+    /// Thomas sweep rhs workspaces, one `nl * nx * k` row block of the
+    /// largest level visited per lane (coarser levels use a prefix).
     bufs: Vec<Vec<f64>>,
     /// Boundary-row snapshots for the chunked sweeps: two row blocks per
     /// chunk (the rows just above and below each chunk).
     snap: Vec<f64>,
-    /// Largest batch width the level vectors are sized for.
-    kmax: usize,
 }
 
 impl MgScratch {
-    fn ensure(&mut self, mg: &Multigrid, lanes: usize, k: usize) {
-        if self.rhs.len() != mg.levels.len() || self.kmax < k {
-            let kk = k.max(self.kmax).max(1);
-            self.rhs = mg.levels.iter().map(|l| vec![0.0; l.n() * kk]).collect();
-            self.x = mg.levels.iter().map(|l| vec![0.0; l.n() * kk]).collect();
-            self.r = mg.levels.iter().map(|l| vec![0.0; l.n() * kk]).collect();
-            self.kmax = kk;
+    /// Grows the scratch to serve levels `start..` of `mg` at width `k` on
+    /// up to `lanes` lanes.
+    fn ensure(&mut self, mg: &Multigrid, start: usize, lanes: usize, k: usize) {
+        let depth = mg.levels.len();
+        for per_level in [&mut self.rhs, &mut self.x, &mut self.r] {
+            if per_level.len() < depth {
+                per_level.resize_with(depth, Vec::new);
+            }
+            for (v, level) in per_level[start..].iter_mut().zip(&mg.levels[start..]) {
+                grow(v, level.n() * k);
+            }
         }
-        let block = mg.levels[0].nl * mg.levels[0].nx * self.kmax;
-        if self.bufs.len() != lanes || self.bufs.first().is_none_or(|b| b.len() != block) {
-            self.bufs = (0..lanes).map(|_| vec![0.0; block]).collect();
+        let top = &mg.levels[start];
+        let block = top.nl * top.nx * k;
+        if self.bufs.len() < lanes {
+            self.bufs.resize_with(lanes, Vec::new);
         }
-        let snap_need = 2 * lanes * block;
-        if self.snap.len() != snap_need {
-            self.snap = vec![0.0; snap_need];
+        for buf in &mut self.bufs[..lanes] {
+            grow(buf, block);
         }
+        grow(&mut self.snap, 2 * lanes * block);
     }
 }
 
@@ -226,19 +234,24 @@ fn split_rows<const KW: usize>(src: &[f64], dst: &mut [f64], row: usize, k: usiz
     }
 }
 
-/// The inverse of [`split_rows`].
+/// The inverse of [`split_rows`]: each output pair of cells takes one
+/// cell of the even half and one of the odd half, and an odd-length row's
+/// last cell comes from the even half.
 fn merge_rows<const KW: usize>(src: &[f64], dst: &mut [f64], row: usize, k: usize) {
     let k = eff_width(KW, k);
     if row == 0 {
         return;
     }
     let w = row * k;
-    for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
-        let (even, odd) = s.split_at(evens(row) * k);
-        for (ix, v) in d.chunks_exact_mut(k).enumerate() {
-            let half = if ix % 2 == 0 { even } else { odd };
-            v.copy_from_slice(&half[ix / 2 * k..][..k]);
+    for (srow, drow) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
+        let (even, odd) = srow.split_at(evens(row) * k);
+        let mut pairs = drow.chunks_exact_mut(2 * k);
+        for ((p, e), o) in (&mut pairs).zip(even.chunks_exact(k)).zip(odd.chunks_exact(k)) {
+            let (pe, po) = p.split_at_mut(k);
+            pe.copy_from_slice(e);
+            po.copy_from_slice(o);
         }
+        pairs.into_remainder().copy_from_slice(&even[row / 2 * k..]);
     }
 }
 
@@ -1164,7 +1177,7 @@ impl Multigrid {
         k: usize,
     ) {
         let lanes = lanes.max(1);
-        scratch.ensure(self, lanes, k);
+        scratch.ensure(self, li, lanes, k);
         let (f, c) = (&self.levels[li], &self.levels[li + 1]);
         let fs = &mut scratch.r[li][..f.n() * k];
         let cs = &mut scratch.rhs[li + 1][..c.n() * k];
@@ -1210,8 +1223,8 @@ impl Multigrid {
         k: usize,
     ) {
         let lanes = lanes.max(1);
-        scratch.ensure(self, lanes, k);
-        let MgScratch { rhs, x, r: res, bufs, snap, .. } = scratch;
+        scratch.ensure(self, start, lanes, k);
+        let MgScratch { rhs, x, r: res, bufs, snap } = scratch;
         let depth = self.levels.len();
         let nk = |li: usize| self.levels[li].n() * k;
         self.levels[start].load_natural(r, &mut rhs[start][..nk(start)], k);
@@ -1326,11 +1339,12 @@ mod tests {
     }
 
     /// Splitting and merging rows round-trips every width, for odd and
-    /// even row lengths, and a split row holds its even cells first.
+    /// even row lengths, and a split row holds its even cells first. Width
+    /// 9 runs the dynamic-width (`KW = 0`) instance.
     #[test]
     fn split_rows_round_trip() {
         for row in [1usize, 2, 5, 8] {
-            for k in [1usize, 3] {
+            for k in [1usize, 3, 9] {
                 let v: Vec<f64> = (0..2 * row * k).map(|i| i as f64).collect();
                 let mut split = vec![0.0; v.len()];
                 dispatch_width!(k, split_rows(&v, &mut split, row, k));

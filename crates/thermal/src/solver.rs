@@ -170,10 +170,15 @@ pub(crate) struct CgScratch {
 impl CgScratch {
     fn ensure(&mut self, len: usize) {
         for v in [&mut self.r, &mut self.p, &mut self.zq] {
-            if v.len() < len {
-                v.resize(len, 0.0);
-            }
+            grow(v, len);
         }
+    }
+}
+
+/// Grows `v` to at least `len` elements; never shrinks it.
+pub(crate) fn grow(v: &mut Vec<f64>, len: usize) {
+    if v.len() < len {
+        v.resize(len, 0.0);
     }
 }
 

@@ -32,8 +32,9 @@ use crate::model;
 use crate::multigrid::{MgScratch, Multigrid, Network};
 use crate::power::PowerMap;
 use crate::solver::{self, CgOutcome, CgScratch, Tolerance};
+use crate::workspace::{with_workspace, Workspace};
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
 /// Floor on the reported error bound, °C. Covers solver tolerance and
 /// rounding differences between the surrogate's CG path and the exact
@@ -58,27 +59,15 @@ const SURROGATE_CG_REL: f64 = 1e-8;
 /// Iteration cap for the coarse solves.
 const SURROGATE_CG_MAX_ITERS: usize = 5_000;
 
-/// Pooled per-solve workspaces so concurrent surrogate queries (the
-/// annealer's parallel starts screen from several threads) never
-/// allocate the CG/V-cycle vectors per call. Vectors hold the queried maps
-/// interleaved `[node][rhs]`.
-#[derive(Debug, Default)]
-struct SurrogateScratch {
-    cg: CgScratch,
-    mg: MgScratch,
-    /// Level-`l1` right-hand side of each map, one after the other, before
-    /// interleaving (batched queries only).
-    planes: Vec<f64>,
-    rhs1: Vec<f64>,
-    rhs2: Vec<f64>,
-}
-
 /// The cheap coarse-level solver derived from one [`crate::ThermalModel`]
 /// via [`crate::ThermalModel::surrogate`]. Reusable across any number of
-/// power maps, from multiple threads.
+/// power maps, from multiple threads; each query solves in the calling
+/// thread's workspace.
 #[derive(Debug)]
 pub struct Surrogate {
-    mg: Multigrid,
+    /// The multigrid hierarchy, shared with the source model when it has
+    /// one.
+    pub(crate) mg: Arc<Multigrid>,
     /// The level the reported field lives on (1, or 0 on shallow
     /// hierarchies where the surrogate is exact).
     l1: usize,
@@ -99,7 +88,6 @@ pub struct Surrogate {
     /// [`crate::ThermalModel::set_parallel_lanes`]); results are
     /// bit-identical for any value.
     lanes: usize,
-    scratch: Mutex<Vec<SurrogateScratch>>,
 }
 
 /// One surrogate query result: the coarse temperature field plus the
@@ -176,7 +164,7 @@ impl SurrogateSolution {
 
 impl Surrogate {
     /// Builds the surrogate from a model's conductance network. When the
-    /// model already carries a multigrid hierarchy it is cloned; otherwise
+    /// model already carries a multigrid hierarchy it is shared; otherwise
     /// (small grids on the Jacobi path) one is built here.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_network(
@@ -189,10 +177,10 @@ impl Surrogate {
         diag: &[f64],
         gamb: &[f64],
         ambient_c: f64,
-        mg: Option<Multigrid>,
+        mg: Option<Arc<Multigrid>>,
         lanes: usize,
     ) -> Self {
-        let mg = mg.unwrap_or_else(|| Multigrid::build(nx, ny, nl, gx, gy, gz, diag));
+        let mg = mg.unwrap_or_else(|| Arc::new(Multigrid::build(nx, ny, nl, gx, gy, gz, diag)));
         let depth = mg.num_levels();
         let (l1, l2) = if depth >= 3 { (1, 2) } else { (0, 0) };
 
@@ -204,14 +192,11 @@ impl Surrogate {
         for (dst, &g) in amb0[top..].iter_mut().zip(gamb) {
             *dst = g * ambient_c;
         }
-        // The first query's workspace lends its V-cycle scratch to this
-        // restriction.
-        let mut first = SurrogateScratch::default();
         let amb1 = if l1 == 0 {
             amb0
         } else {
             let mut a1 = vec![0.0; mg.level(l1).n()];
-            mg.restrict_natural(0, &amb0, &mut a1, &mut first.mg, lanes.max(1), 1);
+            with_workspace(|ws| mg.restrict_natural(0, &amb0, &mut a1, &mut ws.mg, lanes, 1));
             a1
         };
         let op1 = mg.level(l1).network();
@@ -227,7 +212,6 @@ impl Surrogate {
             fine_ny: ny,
             nl,
             lanes: lanes.max(1),
-            scratch: Mutex::new(vec![first]),
         }
     }
 
@@ -275,27 +259,27 @@ impl Surrogate {
         for power in powers {
             assert_eq!(power.watts.len(), n_fine, "power map does not match this surrogate's grid");
         }
-        let mut s = self.scratch.lock().expect("surrogate scratch poisoned").pop().unwrap_or_default();
-
-        // Right-hand sides at l1: restricted injected power + ambient anchor.
         let lvl1 = self.mg.level(self.l1);
         let n1 = lvl1.n();
-        self.fill_rhs1(powers, &mut s);
-
         // Zero initial iterates: deterministic, and the V-cycle
         // preconditioner makes the start point nearly irrelevant.
         let mut x1 = vec![0.0; n1 * k];
-        self.coarse_solve(self.l1, &self.op1, &s.rhs1, &mut x1, k, &mut s.cg, &mut s.mg);
-        let x2 = self.op2.as_ref().map(|op2| {
-            let n2 = self.mg.level(self.l2).n();
-            s.rhs2.clear();
-            s.rhs2.resize(n2 * k, 0.0);
-            self.mg.restrict_natural(self.l1, &s.rhs1, &mut s.rhs2, &mut s.mg, self.lanes, k);
-            let mut x2 = vec![0.0; n2 * k];
-            self.coarse_solve(self.l2, op2, &s.rhs2, &mut x2, k, &mut s.cg, &mut s.mg);
-            solver::split_systems(x2, k)
+        let x2 = with_workspace(|ws| {
+            // Right-hand sides at l1: restricted injected power + ambient
+            // anchor.
+            self.fill_rhs1(powers, ws);
+            let Workspace { cg, mg: mgs, rhs: rhs1, rhs2, .. } = ws;
+            self.coarse_solve(self.l1, &self.op1, rhs1, &mut x1, k, cg, mgs);
+            self.op2.as_ref().map(|op2| {
+                let n2 = self.mg.level(self.l2).n();
+                rhs2.clear();
+                rhs2.resize(n2 * k, 0.0);
+                self.mg.restrict_natural(self.l1, rhs1, rhs2, mgs, self.lanes, k);
+                let mut x2 = vec![0.0; n2 * k];
+                self.coarse_solve(self.l2, op2, rhs2, &mut x2, k, cg, mgs);
+                solver::split_systems(x2, k)
+            })
         });
-        self.scratch.lock().expect("surrogate scratch poisoned").push(s);
 
         let (nx1, ny1, _) = lvl1.dims();
         solver::split_systems(x1, k)
@@ -368,28 +352,28 @@ impl Surrogate {
         }
     }
 
-    /// Fills `s.rhs1` with the level-`l1` right-hand sides of `powers`,
+    /// Fills `ws.rhs` with the level-`l1` right-hand sides of `powers`,
     /// interleaved `[node][rhs]`: restricted injected power plus the
     /// precomputed ambient anchor. Each map is restricted on its own (into
-    /// `s.planes` when there are several) and then interleaved.
-    fn fill_rhs1(&self, powers: &[&PowerMap], s: &mut SurrogateScratch) {
+    /// `ws.planes` when there are several) and then interleaved.
+    fn fill_rhs1(&self, powers: &[&PowerMap], ws: &mut Workspace) {
         let n1 = self.mg.level(self.l1).n();
-        let planes = if powers.len() == 1 { &mut s.rhs1 } else { &mut s.planes };
+        let planes = if powers.len() == 1 { &mut ws.rhs } else { &mut ws.planes };
         planes.clear();
         planes.resize(n1 * powers.len(), 0.0);
         for (plane, power) in planes.chunks_exact_mut(n1).zip(powers) {
             if self.l1 == 0 {
                 plane.copy_from_slice(&power.watts);
             } else {
-                self.mg.restrict_natural(0, &power.watts, plane, &mut s.mg, self.lanes, 1);
+                self.mg.restrict_natural(0, &power.watts, plane, &mut ws.mg, self.lanes, 1);
             }
             for (r, &a) in plane.iter_mut().zip(&self.amb1) {
                 *r += a;
             }
         }
         if powers.len() > 1 {
-            let planes: Vec<Option<&[f64]>> = s.planes.chunks_exact(n1).map(Some).collect();
-            solver::interleave(&planes, n1, 0.0, &mut s.rhs1);
+            let planes: Vec<Option<&[f64]>> = ws.planes.chunks_exact(n1).map(Some).collect();
+            solver::interleave(&planes, n1, 0.0, &mut ws.rhs);
         }
     }
 }

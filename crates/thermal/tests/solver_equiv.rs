@@ -282,144 +282,227 @@ fn surrogate_digest(m: &ThermalModel, p: &tesa_thermal::PowerMap, nx: usize, ny:
     digest(bits)
 }
 
-/// `(case, digest, CG iterations)` for every pinned single-system solve.
-fn single_system_digests() -> Vec<(String, u64, Vec<u64>)> {
-    use tesa_util::faultpoint::{self, FaultPlan, Trigger};
-    let mut out = Vec::new();
-    for stack in ["2d", "3d"] {
-        for cells in [32usize, 64] {
-            let m = if stack == "2d" { pinned_2d(cells) } else { pinned_3d(cells) };
-            let p = pinned_power(&m, 1.0);
-            let (cold, iters) = with_cg_iters(|| m.solve(&p));
-            out.push((format!("solve/{stack}/{cells}"), digest(cold.as_slice().to_vec()), iters));
-            let p2 = pinned_power(&m, 1.3);
-            let (warm, iters) = with_cg_iters(|| m.solve_with_guess(&p2, cold.as_slice()));
-            out.push((
-                format!("solve_with_guess/{stack}/{cells}"),
-                digest(warm.as_slice().to_vec()),
-                iters,
-            ));
+/// One pinned case: its name and the run giving `(digest, CG iterations)`.
+type Case<'a> = (String, Box<dyn Fn() -> (u64, Vec<u64>) + 'a>);
 
-            // The Jacobi rung of the degradation ladder.
-            let plan = FaultPlan::new().site("thermal.cg.diverge", Trigger::Always);
-            let ((field, quality), iters) = with_cg_iters(|| {
-                let _scope = faultpoint::activate(&plan);
-                m.solve_recoverable(&p, Some(cold.as_slice())).expect("the Jacobi rung holds")
-            });
-            assert_eq!(quality, tesa_thermal::SolveQuality::DegradedJacobi);
-            out.push((
-                format!("solve_recoverable_diverged/{stack}/{cells}"),
-                digest(field.as_slice().to_vec()),
-                iters,
-            ));
-
-            // The surrogate's coarse field (read back cell by cell through
-            // one-cell region means), its per-layer estimates and bound.
-            out.push((
-                format!("surrogate/{stack}/{cells}"),
-                surrogate_digest(&m, &p, cells, cells),
-                Vec::new(),
-            ));
-
-            // Ten backward-Euler steps from ambient.
-            let (steps, iters) = with_cg_iters(|| {
-                let mut field = m.ambient_field();
-                let mut all = Vec::new();
-                for _ in 0..10 {
-                    field = m.transient_step(&p, &field, 1e-3);
-                    all.extend_from_slice(field.as_slice());
-                }
-                all
-            });
-            out.push((format!("transient_step_x10/{stack}/{cells}"), digest(steps), iters));
-        }
+/// Runs `cases` first to last, or last to first when `reverse` is set, and
+/// returns `(case, digest, CG iterations)` in the listed order either way.
+/// Cases that need a cold field solve it themselves, so any order works.
+fn run_cases(cases: Vec<Case<'_>>, reverse: bool) -> Vec<(String, u64, Vec<u64>)> {
+    let mut out: Vec<(String, u64, Vec<u64>)> =
+        cases.iter().map(|(case, _)| (case.clone(), 0, Vec::new())).collect();
+    let mut order: Vec<usize> = (0..cases.len()).collect();
+    if reverse {
+        order.reverse();
+    }
+    for i in order {
+        (out[i].1, out[i].2) = (cases[i].1)();
     }
     out
+}
+
+/// `(case, digest, CG iterations)` for every pinned single-system solve,
+/// run in the listed order or in reverse.
+fn single_system_digests(reverse: bool) -> Vec<(String, u64, Vec<u64>)> {
+    use tesa_util::faultpoint::{self, FaultPlan, Trigger};
+    let models: Vec<(&str, usize, ThermalModel)> = ["2d", "3d"]
+        .into_iter()
+        .flat_map(|stack| [32usize, 64].map(|cells| (stack, cells)))
+        .map(|(stack, cells)| {
+            (stack, cells, if stack == "2d" { pinned_2d(cells) } else { pinned_3d(cells) })
+        })
+        .collect();
+    let mut cases: Vec<Case<'_>> = Vec::new();
+    for (stack, cells, m) in &models {
+        let (stack, cells) = (*stack, *cells);
+        cases.push((
+            format!("solve/{stack}/{cells}"),
+            Box::new(move || {
+                let p = pinned_power(m, 1.0);
+                let (cold, iters) = with_cg_iters(|| m.solve(&p));
+                (digest(cold.as_slice().to_vec()), iters)
+            }),
+        ));
+        cases.push((
+            format!("solve_with_guess/{stack}/{cells}"),
+            Box::new(move || {
+                let cold = m.solve(&pinned_power(m, 1.0));
+                let p2 = pinned_power(m, 1.3);
+                let (warm, iters) = with_cg_iters(|| m.solve_with_guess(&p2, cold.as_slice()));
+                (digest(warm.as_slice().to_vec()), iters)
+            }),
+        ));
+        // The Jacobi rung of the degradation ladder.
+        cases.push((
+            format!("solve_recoverable_diverged/{stack}/{cells}"),
+            Box::new(move || {
+                let p = pinned_power(m, 1.0);
+                let cold = m.solve(&p);
+                let plan = FaultPlan::new().site("thermal.cg.diverge", Trigger::Always);
+                let ((field, quality), iters) = with_cg_iters(|| {
+                    let _scope = faultpoint::activate(&plan);
+                    m.solve_recoverable(&p, Some(cold.as_slice())).expect("the Jacobi rung holds")
+                });
+                assert_eq!(quality, tesa_thermal::SolveQuality::DegradedJacobi);
+                (digest(field.as_slice().to_vec()), iters)
+            }),
+        ));
+        // The surrogate's coarse field (read back cell by cell through
+        // one-cell region means), its per-layer estimates and bound.
+        cases.push((
+            format!("surrogate/{stack}/{cells}"),
+            Box::new(move || {
+                (surrogate_digest(m, &pinned_power(m, 1.0), cells, cells), Vec::new())
+            }),
+        ));
+        // Ten backward-Euler steps from ambient.
+        cases.push((
+            format!("transient_step_x10/{stack}/{cells}"),
+            Box::new(move || {
+                let p = pinned_power(m, 1.0);
+                let (steps, iters) = with_cg_iters(|| {
+                    let mut field = m.ambient_field();
+                    let mut all = Vec::new();
+                    for _ in 0..10 {
+                        field = m.transient_step(&p, &field, 1e-3);
+                        all.extend_from_slice(field.as_slice());
+                    }
+                    all
+                });
+                (digest(steps), iters)
+            }),
+        ));
+    }
+    run_cases(cases, reverse)
+}
+
+/// Pinned `(case, digest, CG iterations)` of [`single_system_digests`].
+const SINGLE_SYSTEM_PINS: &[(&str, u64, &[u64])] = &[
+    ("solve/2d/32", 0xd96536b93f75ba0f, &[161]),
+    ("solve_with_guess/2d/32", 0x611b1bbe78af3189, &[153]),
+    ("solve_recoverable_diverged/2d/32", 0xd96536b93f75ba0f, &[161]),
+    ("surrogate/2d/32", 0xea12a9e48e889f87, &[]),
+    ("transient_step_x10/2d/32", 0x9c9cb217d5cbf21d, &[30, 29, 29, 29, 29, 29, 29, 29, 29, 29]),
+    ("solve/2d/64", 0x4fb5a9ef58e0a369, &[20]),
+    ("solve_with_guess/2d/64", 0x084e884705f5e4ff, &[19]),
+    ("solve_recoverable_diverged/2d/64", 0xe2771b0aeb322d4d, &[302]),
+    ("surrogate/2d/64", 0x28b4917a2461d522, &[]),
+    ("transient_step_x10/2d/64", 0x9451540f96dfb390, &[55, 54, 52, 52, 52, 52, 52, 52, 52, 52]),
+    ("solve/3d/32", 0xc1fb2f8f8dad602a, &[200]),
+    ("solve_with_guess/3d/32", 0xefb91ee9d5f88195, &[193]),
+    ("solve_recoverable_diverged/3d/32", 0xc1fb2f8f8dad602a, &[200]),
+    ("surrogate/3d/32", 0xe2260b1ac71e149f, &[]),
+    ("transient_step_x10/3d/32", 0x0ac2de755e61a0b3, &[30, 30, 30, 30, 30, 30, 30, 30, 30, 30]),
+    ("solve/3d/64", 0x971ca2b2701c4c5e, &[26]),
+    ("solve_with_guess/3d/64", 0x02977f137d12f9f8, &[25]),
+    ("solve_recoverable_diverged/3d/64", 0x05cb97928832b447, &[361]),
+    ("surrogate/3d/64", 0xbdd6a23afd4600e3, &[]),
+    ("transient_step_x10/3d/64", 0x9fe206cedd3b6606, &[56, 56, 55, 55, 55, 55, 55, 55, 55, 55]),
+];
+
+/// Asserts that `got` reproduces `pinned`, case by case.
+fn assert_pinned(got: &[(String, u64, Vec<u64>)], pinned: &[(&str, u64, &[u64])]) {
+    assert_eq!(got.len(), pinned.len(), "case count changed");
+    for ((case, d, iters), (p_case, p_d, p_iters)) in got.iter().zip(pinned) {
+        assert_eq!(case, p_case);
+        assert_eq!(iters.as_slice(), *p_iters, "{case}: CG iteration counts changed");
+        assert_eq!(*d, *p_d, "{case}: output bits changed (digest {d:#018x})");
+    }
 }
 
 #[test]
 fn single_system_solves_reproduce_pinned_bits() {
     let _guard = trace_lock();
-    let got = single_system_digests();
-    let pinned: &[(&str, u64, &[u64])] = &[
-        ("solve/2d/32", 0xd96536b93f75ba0f, &[161]),
-        ("solve_with_guess/2d/32", 0x611b1bbe78af3189, &[153]),
-        ("solve_recoverable_diverged/2d/32", 0xd96536b93f75ba0f, &[161]),
-        ("surrogate/2d/32", 0xea12a9e48e889f87, &[]),
-        ("transient_step_x10/2d/32", 0x9c9cb217d5cbf21d, &[30, 29, 29, 29, 29, 29, 29, 29, 29, 29]),
-        ("solve/2d/64", 0x4fb5a9ef58e0a369, &[20]),
-        ("solve_with_guess/2d/64", 0x084e884705f5e4ff, &[19]),
-        ("solve_recoverable_diverged/2d/64", 0xe2771b0aeb322d4d, &[302]),
-        ("surrogate/2d/64", 0x28b4917a2461d522, &[]),
-        ("transient_step_x10/2d/64", 0x9451540f96dfb390, &[55, 54, 52, 52, 52, 52, 52, 52, 52, 52]),
-        ("solve/3d/32", 0xc1fb2f8f8dad602a, &[200]),
-        ("solve_with_guess/3d/32", 0xefb91ee9d5f88195, &[193]),
-        ("solve_recoverable_diverged/3d/32", 0xc1fb2f8f8dad602a, &[200]),
-        ("surrogate/3d/32", 0xe2260b1ac71e149f, &[]),
-        ("transient_step_x10/3d/32", 0x0ac2de755e61a0b3, &[30, 30, 30, 30, 30, 30, 30, 30, 30, 30]),
-        ("solve/3d/64", 0x971ca2b2701c4c5e, &[26]),
-        ("solve_with_guess/3d/64", 0x02977f137d12f9f8, &[25]),
-        ("solve_recoverable_diverged/3d/64", 0x05cb97928832b447, &[361]),
-        ("surrogate/3d/64", 0xbdd6a23afd4600e3, &[]),
-        ("transient_step_x10/3d/64", 0x9fe206cedd3b6606, &[56, 56, 55, 55, 55, 55, 55, 55, 55, 55]),
-    ];
-    assert_eq!(got.len(), pinned.len(), "case count changed");
-    for ((case, d, iters), (p_case, p_d, p_iters)) in got.iter().zip(pinned) {
-        assert_eq!(case, p_case);
-        assert_eq!(iters.as_slice(), *p_iters, "{case}: CG iteration counts changed");
-        assert_eq!(*d, *p_d, "{case}: output bits changed (digest {d:#018x})");
-    }
+    assert_pinned(&single_system_digests(false), SINGLE_SYSTEM_PINS);
 }
 
 /// `(case, digest, CG iterations)` of forced-multigrid solves on grids
 /// whose rows split into even and odd halves of unequal length at some
 /// level: a 2D 25x25 stack (25, 13, 7, 4 cells per side) and a 3D 33x20
-/// stack (33x20, 17x10, 9x5, 5x3).
-fn odd_grid_digests() -> Vec<(String, u64, Vec<u64>)> {
-    let mut out = Vec::new();
-    for (stack, nx, ny) in [("2d", 25usize, 25usize), ("3d", 33, 20)] {
-        let m = if stack == "2d" {
-            pinned_2d_grid(nx, ny, Preconditioner::Multigrid)
-        } else {
-            pinned_3d_grid(nx, ny, Preconditioner::Multigrid)
-        };
-        assert_eq!(m.preconditioner(), Preconditioner::Multigrid);
+/// stack (33x20, 17x10, 9x5, 5x3), run in the listed order or in reverse.
+fn odd_grid_digests(reverse: bool) -> Vec<(String, u64, Vec<u64>)> {
+    let models: Vec<(&str, usize, usize, ThermalModel)> = [("2d", 25usize, 25usize), ("3d", 33, 20)]
+        .into_iter()
+        .map(|(stack, nx, ny)| {
+            let m = if stack == "2d" {
+                pinned_2d_grid(nx, ny, Preconditioner::Multigrid)
+            } else {
+                pinned_3d_grid(nx, ny, Preconditioner::Multigrid)
+            };
+            assert_eq!(m.preconditioner(), Preconditioner::Multigrid);
+            (stack, nx, ny, m)
+        })
+        .collect();
+    let mut cases: Vec<Case<'_>> = Vec::new();
+    for (stack, nx, ny, m) in &models {
+        let (nx, ny) = (*nx, *ny);
         let grid = format!("{stack}/{nx}x{ny}");
-        let p = pinned_power(&m, 1.0);
-        let (cold, iters) = with_cg_iters(|| m.solve(&p));
-        out.push((format!("solve/{grid}"), digest(cold.as_slice().to_vec()), iters));
-        let p2 = pinned_power(&m, 1.3);
-        let (warm, iters) = with_cg_iters(|| m.solve_with_guess(&p2, cold.as_slice()));
-        out.push((format!("solve_with_guess/{grid}"), digest(warm.as_slice().to_vec()), iters));
-        let p3 = pinned_power(&m, 0.6);
-        let (batch, iters) = with_cg_iters(|| m.solve_batch(&[&p, &p2, &p3]));
-        let bits: Vec<f64> = batch.iter().flat_map(|f| f.as_slice().to_vec()).collect();
-        out.push((format!("solve_batch3/{grid}"), digest(bits), iters));
-        out.push((format!("surrogate/{grid}"), surrogate_digest(&m, &p, nx, ny), Vec::new()));
+        cases.push((
+            format!("solve/{grid}"),
+            Box::new(move || {
+                let p = pinned_power(m, 1.0);
+                let (cold, iters) = with_cg_iters(|| m.solve(&p));
+                (digest(cold.as_slice().to_vec()), iters)
+            }),
+        ));
+        cases.push((
+            format!("solve_with_guess/{grid}"),
+            Box::new(move || {
+                let cold = m.solve(&pinned_power(m, 1.0));
+                let p2 = pinned_power(m, 1.3);
+                let (warm, iters) = with_cg_iters(|| m.solve_with_guess(&p2, cold.as_slice()));
+                (digest(warm.as_slice().to_vec()), iters)
+            }),
+        ));
+        cases.push((
+            format!("solve_batch3/{grid}"),
+            Box::new(move || {
+                let powers = [1.0, 1.3, 0.6].map(|scale| pinned_power(m, scale));
+                let (batch, iters) = with_cg_iters(|| m.solve_batch(&powers.each_ref()));
+                let bits: Vec<f64> = batch.iter().flat_map(|f| f.as_slice().to_vec()).collect();
+                (digest(bits), iters)
+            }),
+        ));
+        cases.push((
+            format!("surrogate/{grid}"),
+            Box::new(move || (surrogate_digest(m, &pinned_power(m, 1.0), nx, ny), Vec::new())),
+        ));
     }
-    out
+    run_cases(cases, reverse)
 }
 
-/// The digests were recorded with the natural-order multigrid kernels,
-/// before the levels' rows were parity-split.
+/// Pinned `(case, digest, CG iterations)` of [`odd_grid_digests`],
+/// recorded with the natural-order multigrid kernels, before the levels'
+/// rows were parity-split.
+const ODD_GRID_PINS: &[(&str, u64, &[u64])] = &[
+    ("solve/2d/25x25", 0x36ab1c942ba90ad9, &[16]),
+    ("solve_with_guess/2d/25x25", 0x10410bcbd162aa39, &[14]),
+    ("solve_batch3/2d/25x25", 0xf8b2a6217dc04133, &[16, 16, 16]),
+    ("surrogate/2d/25x25", 0x4aff9ee28b400396, &[]),
+    ("solve/3d/33x20", 0xd605be307d958e64, &[25]),
+    ("solve_with_guess/3d/33x20", 0x1f94041c17aa446a, &[23]),
+    ("solve_batch3/3d/33x20", 0xde874dd2ff72c54e, &[25, 26, 25]),
+    ("surrogate/3d/33x20", 0x4dcac83e32e42763, &[]),
+];
+
 #[test]
 fn odd_grid_multigrid_solves_reproduce_pinned_bits() {
     let _guard = trace_lock();
-    let got = odd_grid_digests();
-    let pinned: &[(&str, u64, &[u64])] = &[
-        ("solve/2d/25x25", 0x36ab1c942ba90ad9, &[16]),
-        ("solve_with_guess/2d/25x25", 0x10410bcbd162aa39, &[14]),
-        ("solve_batch3/2d/25x25", 0xf8b2a6217dc04133, &[16, 16, 16]),
-        ("surrogate/2d/25x25", 0x4aff9ee28b400396, &[]),
-        ("solve/3d/33x20", 0xd605be307d958e64, &[25]),
-        ("solve_with_guess/3d/33x20", 0x1f94041c17aa446a, &[23]),
-        ("solve_batch3/3d/33x20", 0xde874dd2ff72c54e, &[25, 26, 25]),
-        ("surrogate/3d/33x20", 0x4dcac83e32e42763, &[]),
-    ];
-    assert_eq!(got.len(), pinned.len(), "case count changed");
-    for ((case, d, iters), (p_case, p_d, p_iters)) in got.iter().zip(pinned) {
-        assert_eq!(case, p_case);
-        assert_eq!(iters.as_slice(), *p_iters, "{case}: CG iteration counts changed");
-        assert_eq!(*d, *p_d, "{case}: output bits changed (digest {d:#018x})");
-    }
+    assert_pinned(&odd_grid_digests(false), ODD_GRID_PINS);
+}
+
+/// Solve workspaces belong to threads and outlive the models they served.
+/// Both pinned lists run on one fresh thread, each last case first: the
+/// first solve sizes the thread's workspace for the deepest system, and
+/// every later solve — 3D and 2D, Jacobi and multigrid, transient steps,
+/// width-3 batches and the surrogate — reuses a workspace last sized by
+/// another model or width. The pins must hold.
+#[test]
+fn reversed_cases_on_one_thread_reproduce_pinned_bits() {
+    let _guard = trace_lock();
+    let (single, odd) = std::thread::spawn(|| (single_system_digests(true), odd_grid_digests(true)))
+        .join()
+        .expect("reversed cases hold");
+    assert_pinned(&single, SINGLE_SYSTEM_PINS);
+    assert_pinned(&odd, ODD_GRID_PINS);
 }
